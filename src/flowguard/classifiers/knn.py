@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distance import iter_sq_dist_blocks
+from ..distance import nearest
 from .base import PredictionSet, TrainedModel
 
 
@@ -32,20 +32,8 @@ class KnnModel(TrainedModel):
     def _neighbor_votes(self, X):
         """Positive-vote count and nearest-neighbor label per query row."""
         k = self.spec.hyperparameters["k"]
-        votes = np.empty(X.shape[0], dtype=np.int64)
-        nearest = np.empty(X.shape[0], dtype=np.int64)
-        for start, stop, block in iter_sq_dist_blocks(X, self.train_X):
-            kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-            for i in range(stop - start):
-                row = block[i]
-                cand = np.flatnonzero(row <= kth[i])
-                # cand is index-ascending; a stable value sort keeps that
-                # order among exact ties, honoring the row-index tie-break.
-                order = cand[np.argsort(row[cand], kind="stable")]
-                nn = order[:k]
-                votes[start + i] = int(self.train_y[nn].sum())
-                nearest[start + i] = self.train_y[order[0]]
-        return votes, nearest
+        nn = nearest(X, self.train_X, k).index.reshape(-1, k)
+        return self.train_y[nn].sum(axis=1), self.train_y[nn[:, 0]]
 
     def predict_proba(self, X):
         X = self._check_arity(X)

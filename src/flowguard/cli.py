@@ -175,13 +175,13 @@ def _cmd_run(args):
     except OSError as exc:
         _fail("write", exc)
     if args.save_models:
-        _save_track_models(report, ds, cfg, out_dir)
+        _save_track_models(report, ds, cfg, out_dir, args.label_column)
     _print_summary(report)
     print(f"report written to {out_dir / 'report.json'}")
     return 0
 
 
-def _save_track_models(report, ds, cfg, out_dir):
+def _save_track_models(report, ds, cfg, out_dir, label_column):
     # Retrain the chosen configuration per model-track and bundle the
     # pipeline so `evaluate` can reproduce preprocessing. Training is
     # deterministic, so these match the reported models exactly.
@@ -196,7 +196,7 @@ def _save_track_models(report, ds, cfg, out_dir):
         pipeline = {
             "scaler": scaler_to_dict(state.scaler),
             "category_maps": {k: list(v) for k, v in ds.category_maps.items()},
-            "label_column": getattr(cfg, "label_column", DEFAULT_LABEL_COLUMN),
+            "label_column": label_column,
             "feature_names": list(split.train.feature_names),
             "selected": None if state.selected is None else list(state.selected),
         }
@@ -246,6 +246,17 @@ def _cmd_synth(args):
     return 0
 
 
+def _bundle_columns(ds, names):
+    """The columns a bundle was trained on, by name and in its order."""
+    missing = [n for n in names if n not in ds.feature_names]
+    extra = [n for n in ds.feature_names if n not in names]
+    if missing or extra:
+        raise ValueError(f"columns do not match the model's features: "
+                         f"missing {missing}, extra {extra}")
+    idx = [ds.feature_names.index(n) for n in names]
+    return ds.replace(feature_names=tuple(names), X=ds.X[:, idx])
+
+
 def _cmd_evaluate(args):
     try:
         model, pipeline = clf.load_model(args.model)
@@ -259,6 +270,8 @@ def _cmd_evaluate(args):
                                                      DEFAULT_LABEL_COLUMN)
     try:
         ds = load_csv(args.data, label_column=label_column)
+        if pipeline.get("feature_names") is not None:
+            ds = _bundle_columns(ds, pipeline["feature_names"])
         ds = impute_missing(ds)
         ds = apply_category_maps(ds, {k: tuple(v) for k, v in
                                       pipeline.get("category_maps", {}).items()})

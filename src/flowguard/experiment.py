@@ -290,8 +290,9 @@ def grid_search(kind: str, grid: dict, train: Dataset | None = None,
     """Exhaustive grid evaluation by CV accuracy.
 
     Highest mean validation accuracy wins; exact ties keep the combination
-    listed first. Combinations that fail to train are skipped with a logged
-    warning; if every combination fails, the search raises.
+    listed first. Combinations that cannot train (the learner raises
+    ValueError) are skipped with a logged warning; any other exception is a
+    bug and propagates. If every combination fails, the search raises.
     """
     if fold_datasets is None:
         if train is None:
@@ -304,7 +305,7 @@ def grid_search(kind: str, grid: dict, train: Dataset | None = None,
         spec = clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
         try:
             cv = kfold_cv(spec, fold_datasets=fold_datasets)
-        except Exception as exc:
+        except ValueError as exc:
             logger.warning("grid combination %s %s failed: %s", kind, params, exc)
             trace.append(GridPoint(params=dict(params), mean_cv_accuracy=None,
                                    error=str(exc)))

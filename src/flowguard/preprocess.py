@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import iter_sq_dist_blocks, sq_dists
+from .distance import nearest
 
 # Substitute reachability density for duplicate-heavy neighborhoods whose
 # mean reachability distance is exactly zero.
@@ -150,13 +150,9 @@ def smote_oversample(train: Dataset, cfg: SmoteConfig) -> Dataset:
     min_idx = np.flatnonzero(train.y == minority)
     Xm = np.ascontiguousarray(train.X[min_idx])
     k = cfg.k_neighbors
-    # k nearest minority neighbors per minority row, self excluded. Stable
-    # argsort on squared distances keeps index order among exact ties.
-    neighbors = np.empty((n_min, k), dtype=np.int64)
-    for start, stop, block in iter_sq_dist_blocks(Xm, Xm):
-        block[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(block, axis=1, kind="stable")
-        neighbors[start:stop] = order[:, :k]
+    # k nearest minority neighbors per minority row, self excluded, exact
+    # distance ties in row-index order.
+    neighbors = nearest(Xm, Xm, k, exclude_self=True).index.reshape(n_min, k)
 
     rng = np.random.default_rng(cfg.seed)
     synth = np.empty((needed, train.n_features), dtype=np.float64)
@@ -182,43 +178,28 @@ def lof_scores(ds: Dataset, k_neighbors: int) -> np.ndarray:
     1/LOF_DENSITY_EPS when that mean is exactly zero (duplicate-heavy data);
     the score is the mean ratio of neighbor densities to own density.
     Scores near 1 mean inlier.
+
+    Only the k-distance neighborhoods are needed (Breunig et al., 2000), so
+    one exact nearest-neighbor pass finds them all; k-distances, densities
+    and scores are then read off those lists, with no further pass over all
+    row pairs.
     """
     _require_numeric(ds, "lof_scores")
     n = ds.n_rows
     if not 0 < k_neighbors < n:
         raise ValueError(f"k_neighbors must lie in [1, {n - 1}], got {k_neighbors}")
-    X = np.ascontiguousarray(ds.X)
-    k = k_neighbors
-
-    # Pass 1: squared k-distance per row (self excluded via +inf).
-    kd2 = np.empty(n, dtype=np.float64)
-    for start, stop, block in iter_sq_dist_blocks(X, X):
-        block[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        kd2[start:stop] = np.partition(block, k - 1, axis=1)[:, k - 1]
-
-    # Pass 2: local reachability density.
-    lrd = np.empty(n, dtype=np.float64)
-    for start, stop, block in iter_sq_dist_blocks(X, X):
-        rows = np.arange(stop - start)
-        block[rows, np.arange(start, stop)] = np.inf
-        member = block <= kd2[start:stop, None]
-        reach = np.sqrt(np.maximum(block, kd2[None, :]))  # inf at self; never summed
-        total = np.sum(reach, axis=1, where=member)
-        count = member.sum(axis=1)
-        mean_reach = total / count
-        with np.errstate(divide="ignore"):
-            lrd[start:stop] = np.where(mean_reach == 0.0, 1.0 / LOF_DENSITY_EPS,
-                                       1.0 / mean_reach)
-
-    # Pass 3: mean neighbor-density ratio.
-    scores = np.empty(n, dtype=np.float64)
-    for start, stop, block in iter_sq_dist_blocks(X, X):
-        rows = np.arange(stop - start)
-        block[rows, np.arange(start, stop)] = np.inf
-        member = block <= kd2[start:stop, None]
-        neighbor_lrd = member @ lrd
-        scores[start:stop] = neighbor_lrd / member.sum(axis=1) / lrd[start:stop]
-    return scores
+    # One pass finds every row's tie-inclusive neighborhood, sorted by
+    # distance; its last member sits at the k-distance.
+    nb = nearest(ds.X, ds.X, k_neighbors, exclude_self=True, ties=True)
+    count = np.diff(nb.offsets)
+    owner = np.repeat(np.arange(n), count)
+    kd2 = nb.sq_dist[nb.offsets[1:] - 1]
+    reach = np.sqrt(np.maximum(nb.sq_dist, kd2[nb.index]))
+    mean_reach = np.bincount(owner, weights=reach, minlength=n) / count
+    with np.errstate(divide="ignore"):
+        lrd = np.where(mean_reach == 0.0, 1.0 / LOF_DENSITY_EPS, 1.0 / mean_reach)
+    neighbor_lrd = np.bincount(owner, weights=lrd[nb.index], minlength=n)
+    return neighbor_lrd / count / lrd
 
 
 def remove_outliers(train: Dataset, cfg: LofConfig) -> OutlierRemoval:

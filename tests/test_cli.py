@@ -103,6 +103,59 @@ def test_evaluate_saved_model(corpus, finished_run, capsys, tmp_path):
         assert 0.0 <= float(prob) <= 1.0  # plain decimal text, no reprs
 
 
+def _rewrite_csv(src, dst, header_map=None, order=None):
+    """Copy a CSV, renaming header cells and/or reordering its columns."""
+    rows = [line.split(",") for line in src.read_text().strip().split("\n")]
+    header_map = header_map or {}
+    rows[0] = [header_map.get(cell, cell) for cell in rows[0]]
+    if order is not None:
+        index = [rows[0].index(name) for name in order]
+        rows = [[row[i] for i in index] for row in rows]
+    dst.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    return dst
+
+
+def test_saved_bundle_keeps_label_column(corpus, tmp_path, capsys):
+    data = _rewrite_csv(corpus, tmp_path / "cls.csv", header_map={"label": "cls"})
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(data), "--label-column", "cls",
+                 "--tracks", "imbalanced", "--folds", "3", "--out", str(out),
+                 "--save-models"]) == 0
+    bundle = json.loads((out / "model_knn_imbalanced.json").read_text())
+    assert bundle["pipeline"]["label_column"] == "cls"
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(out / "model_knn_imbalanced.json"),
+                 "--data", str(data)]) == 0, capsys.readouterr().err
+
+
+def test_evaluate_selects_columns_by_name(corpus, finished_run, tmp_path, capsys):
+    model = str(finished_run / "model_svc_balanced.json")
+    header = corpus.read_text().split("\n", 1)[0].split(",")
+    swapped = list(header)
+    i, j = swapped.index("f00"), swapped.index("f03")
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    runs = {}
+    for name, order in (("plain", header), ("swapped", swapped)):
+        data = _rewrite_csv(corpus, tmp_path / f"{name}.csv", order=order)
+        preds = tmp_path / f"{name}_preds.csv"
+        assert main(["evaluate", "--model", model, "--data", str(data),
+                     "--out", str(preds)]) == 0
+        runs[name] = preds.read_text()
+    assert runs["swapped"] == runs["plain"]
+    capsys.readouterr()
+
+    missing = _rewrite_csv(corpus, tmp_path / "missing.csv",
+                           order=[c for c in header if c != "f03"])
+    extra = tmp_path / "extra.csv"
+    lines = corpus.read_text().strip().split("\n")
+    extra.write_text("\n".join([lines[0] + ",f99"] + [line + ",1.0" for line in lines[1:]])
+                     + "\n")
+    for data, column in ((missing, "f03"), (extra, "f99")):
+        assert main(["evaluate", "--model", model, "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert "error[load]" in err and column in err
+
+
 def test_evaluate_requires_pipeline_bundle(corpus, tmp_path, capsys):
     import numpy as np
     from flowguard.classifiers import make_spec, save_model, train

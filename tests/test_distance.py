@@ -1,0 +1,185 @@
+"""Exact nearest neighbours: the Gram-screened kernel against dense references.
+
+The dense reference is ``sq_dists`` followed by a stable argsort, the path
+SMOTE, LOF and KNN took before the screen existed. Agreement is checked bit
+for bit: the same neighbour rows, in the same order, at the same squared
+distances.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from flowguard import distance  # noqa: E402
+from flowguard.dataset import Dataset  # noqa: E402
+from flowguard.distance import nearest, sq_dists  # noqa: E402
+from flowguard.preprocess import (LOF_DENSITY_EPS, SmoteConfig,  # noqa: E402
+                                  lof_scores, smote_oversample)
+
+LAYOUTS = ("normal", "grid", "duplicates", "offset", "byte_counts")
+
+
+def make_rows(rng, n, d, layout):
+    """Rows whose layout stresses one part of the screen."""
+    if layout == "normal":
+        return rng.standard_normal((n, d)) * 3
+    if layout == "grid":  # small integer grid: many exact distance ties
+        return rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    if layout == "duplicates":  # repeated rows: exact zero distances
+        base = np.round(rng.standard_normal((max(1, n // 3), d)), 2)
+        return base[rng.integers(0, base.shape[0], size=n)]
+    if layout == "offset":  # large common offset: the centring and bound path
+        return 1e6 + rng.integers(0, 4, size=(n, d)) * 0.25
+    # raw flow statistics: one column of byte counts near 1e9
+    X = rng.integers(0, 50, size=(n, d)).astype(np.float64)
+    X[:, 0] = 1e9 + rng.integers(0, 3, size=n) * 1500.0
+    return X
+
+
+@st.composite
+def neighbor_cases(draw):
+    layout = draw(st.sampled_from(LAYOUTS))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 40))
+    exclude_self = draw(st.booleans())
+    n = m if exclude_self else draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = make_rows(rng, m, d, layout)
+    if exclude_self:
+        Q = R
+    else:
+        # queries mix reference rows (zero distances) with fresh rows
+        Q = np.vstack([R, make_rows(rng, n, d, layout)])[rng.permutation(m + n)[:n]]
+    k = draw(st.integers(1, m - 1 if exclude_self else m))
+    return Q, R, k, exclude_self, draw(st.booleans()), draw(st.integers(1, 200))
+
+
+def dense_neighbors(Q, R, k, exclude_self, ties):
+    """Neighbour lists from the dense exact matrix and a stable argsort."""
+    D = sq_dists(Q, R)
+    if exclude_self:
+        np.fill_diagonal(D, np.inf)
+    offsets, index, dists = [0], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for row in D:
+        order = np.argsort(row, kind="stable")
+        chosen = order[row[order] <= row[order[k - 1]]] if ties else order[:k]
+        offsets.append(offsets[-1] + chosen.size)
+        index.append(chosen)
+        dists.append(row[chosen])
+    return np.asarray(offsets), np.concatenate(index), np.concatenate(dists)
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbor_cases())
+def test_nearest_matches_dense_oracle(case):
+    Q, R, k, exclude_self, ties, block_cells = case
+    # small block budgets split the queries over many blocks
+    with mock.patch.object(distance, "_BLOCK_CELLS", block_cells):
+        got = nearest(Q, R, k, exclude_self=exclude_self, ties=ties)
+    offsets, index, dists = dense_neighbors(Q, R, k, exclude_self, ties)
+    assert np.array_equal(got.offsets, offsets)
+    assert np.array_equal(got.index, index)
+    assert got.sq_dist.tobytes() == dists.tobytes()
+    counts = np.diff(got.offsets)
+    assert np.all(counts >= k) if ties else np.all(counts == k)
+
+
+def test_nearest_keeps_exact_ties_the_screen_cannot_see():
+    # Three rows at exactly the same distance from the query (the offset is
+    # permuted over the coordinates). Their Gram values differ in the last
+    # bits and put row 0 last, yet ties must go to the lowest row index.
+    q = np.array([0.694, -0.758, 1.421])
+    a, b, c = 0.726, 0.844, 1.165
+    R = np.array([q + [a, b, c], q + [b, c, a], q + [c, a, b]])
+    exact = sq_dists(q[None], R)[0]
+    assert len(set(exact.tolist())) == 1
+    A, B = q - R.mean(axis=0), R - R.mean(axis=0)
+    gram = A @ A + np.einsum("ij,ij->i", B, B) - 2 * B @ A
+    assert gram[0] > gram.min()
+    assert nearest(q[None], R, 1).index.tolist() == [0]
+    got = nearest(q[None], R, 1, ties=True)
+    assert got.index.tolist() == [0, 1, 2]
+    assert got.sq_dist.tobytes() == exact.tobytes()
+
+
+def test_nearest_rejects_bad_input():
+    X = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="k=4"):
+        nearest(X, X, 4, exclude_self=True)
+    with pytest.raises(ValueError, match="k=0"):
+        nearest(X, X, 0)
+    with pytest.raises(ValueError, match="equal width"):
+        nearest(X, np.zeros((4, 3)), 1)
+    with pytest.raises(ValueError, match="finite"):
+        nearest(np.array([[np.nan, 0.0]]), X, 1)
+    empty = nearest(np.zeros((0, 2)), X, 2)
+    assert empty.offsets.tolist() == [0] and empty.index.size == 0
+
+
+def dense_lof(X, k):
+    """LOF from the full dense distance matrix, three passes over all pairs."""
+    D = sq_dists(X, X)
+    np.fill_diagonal(D, np.inf)
+    kd2 = np.partition(D, k - 1, axis=1)[:, k - 1]
+    member = D <= kd2[:, None]
+    reach = np.sqrt(np.maximum(D, kd2[None, :]))
+    mean_reach = np.sum(reach, axis=1, where=member) / member.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        lrd = np.where(mean_reach == 0.0, 1.0 / LOF_DENSITY_EPS, 1.0 / mean_reach)
+    return (member @ lrd) / member.sum(axis=1) / lrd
+
+
+def as_dataset(X, y=None):
+    y = np.zeros(X.shape[0], dtype=np.int64) if y is None else y
+    return Dataset(feature_names=tuple(f"f{i}" for i in range(X.shape[1])),
+                   X=X, y=np.asarray(y, dtype=np.int64))
+
+
+@st.composite
+def lof_cases(draw):
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = make_rows(rng, n, draw(st.integers(1, 5)), draw(st.sampled_from(LAYOUTS)))
+    return X, draw(st.integers(1, n - 1)), rng.permutation(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lof_cases())
+def test_lof_matches_dense_reference_and_is_permutation_equivariant(case):
+    X, k, perm = case
+    scores = lof_scores(as_dataset(X), k)
+    # neighbourhoods match exactly; only the order of the sums differs
+    np.testing.assert_allclose(scores, dense_lof(X, k), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(lof_scores(as_dataset(X[perm]), k), scores[perm],
+                               rtol=1e-12, atol=0)
+
+
+@st.composite
+def smote_cases(draw):
+    n_min = draw(st.integers(2, 15))
+    n_maj = draw(st.integers(n_min, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(LAYOUTS))
+    X = make_rows(rng, n_min + n_maj, draw(st.integers(1, 5)), layout)
+    y = np.array([0] * n_maj + [1] * n_min)[rng.permutation(n_min + n_maj)]
+    cfg = SmoteConfig(k_neighbors=draw(st.integers(1, n_min - 1)),
+                      target_ratio=draw(st.floats(0.1, 2.0)),
+                      seed=draw(st.integers(0, 1000)))
+    return X, y, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(smote_cases())
+def test_smote_output_starts_with_the_original_rows(case):
+    X, y, cfg = case
+    ds = as_dataset(X, y)
+    out = smote_oversample(ds, cfg)
+    assert out.X[:ds.n_rows].tobytes() == ds.X.tobytes()
+    assert np.array_equal(out.y[:ds.n_rows], ds.y)
+    assert np.all(out.y[ds.n_rows:] == 1)

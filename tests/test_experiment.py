@@ -109,6 +109,33 @@ def test_grid_search_skips_failing_combinations():
         grid_search("KNN", {"k": (5000, 9000)}, split.train, folds=3, seed=0)
 
 
+def test_grid_search_skips_only_value_errors(monkeypatch):
+    from flowguard.classifiers.knn import KnnModel
+
+    ds = small_data(n_benign=40, n_ddos=40)
+    split = stratified_split(ds, 0.8, seed=0)
+    fit = KnnModel.fit.__func__
+
+    def failing_fit(exc_type):
+        def fit_or_raise(cls, spec, X, y):
+            if spec.hyperparameters["k"] == 5:
+                raise exc_type("learner fault")
+            return fit(cls, spec, X, y)
+        return classmethod(fit_or_raise)
+
+    # ValueError: this combination cannot train, so it is skipped
+    monkeypatch.setattr(KnnModel, "fit", failing_fit(ValueError))
+    out = grid_search("KNN", {"k": (5, 3)}, split.train, folds=3, seed=0)
+    assert out.trace[0].error == "learner fault"
+    assert out.trace[0].mean_cv_accuracy is None
+    assert out.best_spec.hyperparameters["k"] == 3
+
+    # any other exception is a bug in the code and must surface
+    monkeypatch.setattr(KnnModel, "fit", failing_fit(TypeError))
+    with pytest.raises(TypeError, match="learner fault"):
+        grid_search("KNN", {"k": (5, 3)}, split.train, folds=3, seed=0)
+
+
 def test_fold_preprocessing_refits_inside_each_fold():
     ds = small_data()
     split = stratified_split(ds, 0.8, seed=0)

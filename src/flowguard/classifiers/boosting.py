@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import TrainedModel, mean_log_loss, sigmoid
-from .tree import TreeNodes, build_newton_tree, tree_apply
+from .tree import TreeNodes, build_newton_tree, presort, tree_apply
 
 
 class GradientBoostedTreesModel(TrainedModel):
@@ -32,11 +32,13 @@ class GradientBoostedTreesModel(TrainedModel):
         scores = np.zeros(X.shape[0], dtype=np.float64)
         loss_curve = [mean_log_loss(scores, yf)]
         trees = []
+        order = presort(X)
         for _ in range(hp["rounds"]):
             p = sigmoid(scores)
             g = p - yf
             h = p * (1.0 - p)
-            tree = build_newton_tree(X, g, h, max_depth=hp["depth"], reg_lambda=lam)
+            tree = build_newton_tree(X, g, h, max_depth=hp["depth"], reg_lambda=lam,
+                                     order=order)
             trees.append(tree)
             scores += eta * tree_apply(tree, X)
             loss_curve.append(mean_log_loss(scores, yf))

@@ -4,6 +4,16 @@ Trees are stored as parallel arrays (feature, threshold, left, right, value)
 rather than linked nodes: construction is an explicit stack, application is
 vectorized mask routing, and serialization is a dict of lists with no
 recursion anywhere.
+
+Split search sorts each column once per tree (once per boosting fit, where X
+never changes) and never at a node. A node's per-feature row order is its
+parent's, filtered by the side of the split each row falls on; filtering
+keeps order. This relies on one invariant: a node's ``idx`` is ascending,
+as every child's is, being a boolean selection from its parent's. So within
+a node equal values stay in ascending row order, the order a stable sort of
+the node's rows would give, and cumulative sums, node sums over ``idx`` and
+tie-breaks all run as they would with per-node sorting. One kernel scores
+every candidate feature of a node in a single (features x rows) block.
 """
 
 from __future__ import annotations
@@ -63,46 +73,66 @@ class _TreeBuilder:
                          value=np.array(self.value, dtype=np.float64))
 
 
-def _gini_best_split(X, y, idx, features):
-    """Best (feature, threshold, decrease) over candidate features, or None.
+def presort(X) -> np.ndarray:
+    """Row order of every column, stably sorted: a (d, n) int64 array.
 
-    Thresholds are midpoints between consecutive distinct sorted values.
-    First feature in candidate order and lowest boundary win ties (strict >).
+    Row f lists the rows of ``X`` by ascending ``X[:, f]``, equal values in
+    ascending row order.
     """
-    ysub = y[idx]
-    n = len(idx)
-    pos_total = int(ysub.sum())
-    p = pos_total / n
-    gini_node = 1.0 - p * p - (1.0 - p) * (1.0 - p)
-    if gini_node == 0.0:
-        return None
+    return np.argsort(X.T, axis=1, kind="stable")
 
-    best = None
-    best_dec = 0.0
-    for f in features:
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xsort = xs[order]
-        boundaries = np.flatnonzero(xsort[:-1] < xsort[1:])
-        if len(boundaries) == 0:
+
+def _best_split(X, rows, cand, gain):
+    """(feature, threshold, gain) of the best boundary, or None.
+
+    ``rows`` (k, m) lists the node's rows by ascending value of each
+    candidate feature ``cand``; ``gain`` (k, m - 1) scores a split after
+    each position. Only boundaries between distinct values count, and the
+    threshold is the midpoint of the two values. The first boundary within
+    a feature wins ties, then the first feature in candidate order; a split
+    needs gain strictly > 0.
+    """
+    xs = X[rows, cand[:, None]]
+    gain = np.where(xs[:, :-1] < xs[:, 1:], gain, -np.inf)
+    pos = gain.argmax(axis=1)
+    top = gain[np.arange(len(cand)), pos]
+    f = int(top.argmax())
+    if not top[f] > 0.0:
+        return None
+    j = pos[f]
+    return int(cand[f]), float(0.5 * (xs[f, j] + xs[f, j + 1])), float(top[f])
+
+
+def _grow(X, order, split_node) -> TreeNodes:
+    """Grow a tree depth-first from the root, whose rows are all of X.
+
+    ``split_node(idx, rows, depth)`` returns the node's value and its split
+    ``(feature, threshold)``, or None for a leaf; ``idx`` lists the node's
+    rows ascending and ``rows`` (d, len(idx)) lists them by ascending value
+    of each feature. A child's ``rows`` is its parent's filtered by the side
+    each row falls on, so no node sorts.
+    """
+    d = order.shape[0]
+    builder = _TreeBuilder()
+    stack = [(np.arange(X.shape[0]), order, 0, builder.add())]
+    while stack:
+        idx, rows, depth, slot = stack.pop()
+        builder.value[slot], split = split_node(idx, rows, depth)
+        if split is None:
             continue
-        cpos = np.cumsum(ysub[order])
-        n_left = boundaries + 1.0
-        pos_left = cpos[boundaries]
-        n_right = n - n_left
-        pos_right = pos_total - pos_left
-        pl = pos_left / n_left
-        pr = pos_right / n_right
-        gini_left = 1.0 - pl * pl - (1.0 - pl) ** 2
-        gini_right = 1.0 - pr * pr - (1.0 - pr) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        decrease = gini_node - weighted
-        j = int(np.argmax(decrease))
-        if decrease[j] > best_dec:
-            best_dec = float(decrease[j])
-            thr = 0.5 * (xsort[boundaries[j]] + xsort[boundaries[j] + 1])
-            best = (int(f), float(thr), best_dec)
-    return best
+        f, thr = split
+        col = X[:, f]
+        go_left = col[idx] < thr
+        side = col[rows] < thr
+        left_slot = builder.add()
+        right_slot = builder.add()
+        builder.feature[slot] = f
+        builder.threshold[slot] = thr
+        builder.left[slot] = left_slot
+        builder.right[slot] = right_slot
+        stack.append((idx[~go_left], rows[~side].reshape(d, -1), depth + 1, right_slot))
+        stack.append((idx[go_left], rows[side].reshape(d, -1), depth + 1, left_slot))
+    return builder.finish()
 
 
 def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
@@ -117,107 +147,74 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
     impurity decrease weighted by node fraction.
     """
     n, d = X.shape
-    builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(np.arange(n), 0, root)]
-    while stack:
-        idx, depth, slot = stack.pop()
+    everything = np.arange(d)
+
+    def search(rows, cand, n_node, pos_total, gini_node):
+        rows = rows[cand]
+        n_left = np.arange(1.0, n_node)
+        pos_left = np.cumsum(y[rows], axis=1)[:, :-1]
+        n_right = n_node - n_left
+        pos_right = pos_total - pos_left
+        pl = pos_left / n_left
+        pr = pos_right / n_right
+        gini_left = 1.0 - pl * pl - (1.0 - pl) ** 2
+        gini_right = 1.0 - pr * pr - (1.0 - pr) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / n_node
+        return _best_split(X, rows, cand, gini_node - weighted)
+
+    def split_node(idx, rows, depth):
         n_node = len(idx)
         pos = int(y[idx].sum())
-        builder.value[slot] = pos / n_node
+        p = pos / n_node
         if pos in (0, n_node) or n_node < min_samples_split or \
                 (max_depth is not None and depth >= max_depth):
-            continue
+            return p, None
+        gini_node = 1.0 - p * p - (1.0 - p) * (1.0 - p)
         if n_candidate_features < d:
             cand = rng.choice(d, size=n_candidate_features, replace=False)
         else:
-            cand = np.arange(d)
-        split = _gini_best_split(X, y, idx, cand)
+            cand = everything
+        split = search(rows, cand, n_node, pos, gini_node)
         if split is None and n_candidate_features < d:
-            split = _gini_best_split(X, y, idx, np.arange(d))
+            split = search(rows, everything, n_node, pos, gini_node)
         if split is None:
-            continue
+            return p, None
         f, thr, dec = split
         if importance is not None:
             importance[f] += dec * (n_node / n)
-        go_left = X[idx, f] < thr
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.feature[slot] = f
-        builder.threshold[slot] = thr
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        stack.append((idx[~go_left], depth + 1, right_slot))
-        stack.append((idx[go_left], depth + 1, left_slot))
-    return builder.finish()
+        return p, (f, thr)
+
+    return _grow(X, presort(X), split_node)
 
 
-def _newton_best_split(X, g, h, idx, reg_lambda):
-    """Best split by second-order gain; None when no split improves."""
-    n = len(idx)
-    gsub = g[idx]
-    hsub = h[idx]
-    G = float(gsub.sum())
-    H = float(hsub.sum())
-    parent = G * G / (H + reg_lambda)
-
-    best = None
-    best_gain = 0.0
-    for f in range(X.shape[1]):
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xsort = xs[order]
-        boundaries = np.flatnonzero(xsort[:-1] < xsort[1:])
-        if len(boundaries) == 0:
-            continue
-        cg = np.cumsum(gsub[order])
-        ch = np.cumsum(hsub[order])
-        GL = cg[boundaries]
-        HL = ch[boundaries]
-        GR = G - GL
-        HR = H - HL
-        gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda)
-                      - parent)
-        j = int(np.argmax(gain))
-        if gain[j] > best_gain:
-            best_gain = float(gain[j])
-            thr = 0.5 * (xsort[boundaries[j]] + xsort[boundaries[j] + 1])
-            best = (f, float(thr))
-    return best
-
-
-def build_newton_tree(X, g, h, max_depth, reg_lambda) -> TreeNodes:
+def build_newton_tree(X, g, h, max_depth, reg_lambda, order) -> TreeNodes:
     """Depth-limited regression tree on gradient/hessian statistics.
 
     Leaf weight is the Newton step -G / (H + lambda). Split search is
     exhaustive over features and distinct-value midpoints (deterministic,
     no sampling), keeping boosting fully reproducible without a seed.
+    ``order`` is ``presort(X)``: X does not change between boosting rounds,
+    so one sort serves the whole fit.
     """
-    n = X.shape[0]
-    builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(np.arange(n), 0, root)]
-    while stack:
-        idx, depth, slot = stack.pop()
+    everything = np.arange(X.shape[1])
+
+    def split_node(idx, rows, depth):
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        builder.value[slot] = -G / (H + reg_lambda)
+        value = -G / (H + reg_lambda)
         if depth >= max_depth or len(idx) < 2:
-            continue
-        split = _newton_best_split(X, g, h, idx, reg_lambda)
-        if split is None:
-            continue
-        f, thr = split
-        go_left = X[idx, f] < thr
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.feature[slot] = f
-        builder.threshold[slot] = thr
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        stack.append((idx[~go_left], depth + 1, right_slot))
-        stack.append((idx[go_left], depth + 1, left_slot))
-    return builder.finish()
+            return value, None
+        parent = G * G / (H + reg_lambda)
+        GL = np.cumsum(g[rows], axis=1)[:, :-1]
+        HL = np.cumsum(h[rows], axis=1)[:, :-1]
+        GR = G - GL
+        HR = H - HL
+        gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda)
+                      - parent)
+        split = _best_split(X, rows, everything, gain)
+        return value, None if split is None else split[:2]
+
+    return _grow(X, order, split_node)
 
 
 def tree_apply(tree: TreeNodes, X) -> np.ndarray:

@@ -4,10 +4,18 @@ Everything here is written the slow, obvious way: python loops, exact
 integer or Fraction arithmetic where the quantity is rational, and
 plain lists instead of arrays.  Agreement between these and the fast
 numpy paths is therefore meaningful evidence, not a tautology.
+
+The tree builders are the exception: they are the per-node, per-feature
+sorting search that the presorted split kernel replaced, kept as they
+were so that trees can be compared bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from flowguard.classifiers.tree import TreeNodes, _TreeBuilder
 
 
 def confusion_counts(y_true, y_pred):
@@ -137,3 +145,163 @@ def trapezoid_area(xs, ys):
     for i in range(1, len(xs)):
         total += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
     return total
+
+
+# Tree builders that sort every candidate feature at every node, one
+# feature at a time: the split search the presorted kernel replaced.
+
+def _gini_best_split(X, y, idx, features):
+    """Best (feature, threshold, decrease) over candidate features, or None.
+
+    Thresholds are midpoints between consecutive distinct sorted values.
+    First feature in candidate order and lowest boundary win ties (strict >).
+    """
+    ysub = y[idx]
+    n = len(idx)
+    pos_total = int(ysub.sum())
+    p = pos_total / n
+    gini_node = 1.0 - p * p - (1.0 - p) * (1.0 - p)
+    if gini_node == 0.0:
+        return None
+
+    best = None
+    best_dec = 0.0
+    for f in features:
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xsort = xs[order]
+        boundaries = np.flatnonzero(xsort[:-1] < xsort[1:])
+        if len(boundaries) == 0:
+            continue
+        cpos = np.cumsum(ysub[order])
+        n_left = boundaries + 1.0
+        pos_left = cpos[boundaries]
+        n_right = n - n_left
+        pos_right = pos_total - pos_left
+        pl = pos_left / n_left
+        pr = pos_right / n_right
+        gini_left = 1.0 - pl * pl - (1.0 - pl) ** 2
+        gini_right = 1.0 - pr * pr - (1.0 - pr) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        decrease = gini_node - weighted
+        j = int(np.argmax(decrease))
+        if decrease[j] > best_dec:
+            best_dec = float(decrease[j])
+            thr = 0.5 * (xsort[boundaries[j]] + xsort[boundaries[j] + 1])
+            best = (int(f), float(thr), best_dec)
+    return best
+
+
+def gini_tree_brute(X, y, max_depth, min_samples_split, n_candidate_features,
+                    rng, importance=None) -> TreeNodes:
+    """Greedy CART classification tree minimizing Gini impurity.
+
+    ``n_candidate_features`` features are sampled per node without
+    replacement; when none of them admits a positive-gain split the search
+    widens to all features before giving up, so rows that differ anywhere
+    can always be separated. Leaf value is the node's positive fraction.
+    ``importance`` (length-d array, optional) accumulates per-feature
+    impurity decrease weighted by node fraction.
+    """
+    n, d = X.shape
+    builder = _TreeBuilder()
+    root = builder.add()
+    stack = [(np.arange(n), 0, root)]
+    while stack:
+        idx, depth, slot = stack.pop()
+        n_node = len(idx)
+        pos = int(y[idx].sum())
+        builder.value[slot] = pos / n_node
+        if pos in (0, n_node) or n_node < min_samples_split or \
+                (max_depth is not None and depth >= max_depth):
+            continue
+        if n_candidate_features < d:
+            cand = rng.choice(d, size=n_candidate_features, replace=False)
+        else:
+            cand = np.arange(d)
+        split = _gini_best_split(X, y, idx, cand)
+        if split is None and n_candidate_features < d:
+            split = _gini_best_split(X, y, idx, np.arange(d))
+        if split is None:
+            continue
+        f, thr, dec = split
+        if importance is not None:
+            importance[f] += dec * (n_node / n)
+        go_left = X[idx, f] < thr
+        left_slot = builder.add()
+        right_slot = builder.add()
+        builder.feature[slot] = f
+        builder.threshold[slot] = thr
+        builder.left[slot] = left_slot
+        builder.right[slot] = right_slot
+        stack.append((idx[~go_left], depth + 1, right_slot))
+        stack.append((idx[go_left], depth + 1, left_slot))
+    return builder.finish()
+
+
+def _newton_best_split(X, g, h, idx, reg_lambda):
+    """Best split by second-order gain; None when no split improves."""
+    n = len(idx)
+    gsub = g[idx]
+    hsub = h[idx]
+    G = float(gsub.sum())
+    H = float(hsub.sum())
+    parent = G * G / (H + reg_lambda)
+
+    best = None
+    best_gain = 0.0
+    for f in range(X.shape[1]):
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xsort = xs[order]
+        boundaries = np.flatnonzero(xsort[:-1] < xsort[1:])
+        if len(boundaries) == 0:
+            continue
+        cg = np.cumsum(gsub[order])
+        ch = np.cumsum(hsub[order])
+        GL = cg[boundaries]
+        HL = ch[boundaries]
+        GR = G - GL
+        HR = H - HL
+        gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda)
+                      - parent)
+        j = int(np.argmax(gain))
+        if gain[j] > best_gain:
+            best_gain = float(gain[j])
+            thr = 0.5 * (xsort[boundaries[j]] + xsort[boundaries[j] + 1])
+            best = (f, float(thr))
+    return best
+
+
+def newton_tree_brute(X, g, h, max_depth, reg_lambda) -> TreeNodes:
+    """Depth-limited regression tree on gradient/hessian statistics.
+
+    Leaf weight is the Newton step -G / (H + lambda). Split search is
+    exhaustive over features and distinct-value midpoints (deterministic,
+    no sampling), keeping boosting fully reproducible without a seed.
+    """
+    n = X.shape[0]
+    builder = _TreeBuilder()
+    root = builder.add()
+    stack = [(np.arange(n), 0, root)]
+    while stack:
+        idx, depth, slot = stack.pop()
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        builder.value[slot] = -G / (H + reg_lambda)
+        if depth >= max_depth or len(idx) < 2:
+            continue
+        split = _newton_best_split(X, g, h, idx, reg_lambda)
+        if split is None:
+            continue
+        f, thr = split
+        go_left = X[idx, f] < thr
+        left_slot = builder.add()
+        right_slot = builder.add()
+        builder.feature[slot] = f
+        builder.threshold[slot] = thr
+        builder.left[slot] = left_slot
+        builder.right[slot] = right_slot
+        stack.append((idx[~go_left], depth + 1, right_slot))
+        stack.append((idx[go_left], depth + 1, left_slot))
+    return builder.finish()

@@ -35,6 +35,12 @@ def make_spec(kind: str, seed: int = 0, **hyperparameters) -> ModelSpec:
     return ModelSpec(kind=kind, hyperparameters=hyperparameters, seed=seed)
 
 
+def staged_hyperparameter(kind: str):
+    """The kind's hyperparameter whose smaller values are prefixes of one
+    fit (see ``TrainedModel.staged_predict_sets``), or None."""
+    return _TRAINERS[kind].staged_hyperparameter
+
+
 def train(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
     """Fit the learner named by the spec on an encoded dataset.
 
@@ -66,6 +72,6 @@ __all__ = [
     "DEFAULT_HYPERPARAMETERS", "MODEL_KINDS", "SINGLE_CLASS_ERRORS",
     "ModelSpec", "PredictionSet", "TrainedModel", "GradientBoostedTreesModel",
     "RandomForestModel", "KnnModel", "MlpModel", "LinearSvcModel",
-    "make_spec", "train", "predict", "gradient_check", "save_model",
-    "load_model", "mean_log_loss", "sigmoid", "softplus",
+    "make_spec", "staged_hyperparameter", "train", "predict", "gradient_check",
+    "save_model", "load_model", "mean_log_loss", "sigmoid", "softplus",
 ]

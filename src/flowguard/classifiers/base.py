@@ -92,7 +92,14 @@ class PredictionSet:
 
 
 class TrainedModel:
-    """Base for fitted models: stores the spec and input arity."""
+    """Base for fitted models: stores the spec and input arity.
+
+    A learner whose fit for a smaller value of one hyperparameter is an exact
+    prefix of its fit for a larger value names that hyperparameter in
+    ``staged_hyperparameter`` and implements ``staged_predict_sets``.
+    """
+
+    staged_hyperparameter = None
 
     def __init__(self, spec: ModelSpec, feature_arity: int):
         self.spec = spec
@@ -106,9 +113,23 @@ class TrainedModel:
         raise NotImplementedError
 
     def predict_set(self, X) -> PredictionSet:
-        probs = self.predict_proba(X)
-        return PredictionSet(labels=(probs >= 0.5).astype(np.int64),
-                             probabilities=probs)
+        return thresholded(self.predict_proba(X))
+
+    def staged_predict_sets(self, X, values) -> dict:
+        """{value: PredictionSet}: for each value of the staged
+        hyperparameter (at most this model's own), exactly what a model
+        trained with that value would predict."""
+        raise NotImplementedError
+
+    def _stage_values(self, values) -> set:
+        """The distinct requested stages, each checked to lie in [1, own]."""
+        own = self.spec.hyperparameters[self.staged_hyperparameter]
+        wanted = set(values)
+        for v in wanted:
+            if not 1 <= v <= own:
+                raise ValueError(f"{self.staged_hyperparameter}={v} is not a stage "
+                                 f"of a model with {self.staged_hyperparameter}={own}")
+        return wanted
 
     def to_state(self) -> dict:
         raise NotImplementedError
@@ -120,6 +141,12 @@ class TrainedModel:
                 f"model trained on {self.feature_arity} features, got matrix "
                 f"of shape {X.shape}")
         return X
+
+
+def thresholded(probs) -> PredictionSet:
+    """Hard labels at the fixed 0.5 threshold (label 1 iff p >= 0.5)."""
+    return PredictionSet(labels=(probs >= 0.5).astype(np.int64),
+                         probabilities=probs)
 
 
 def sigmoid(z):

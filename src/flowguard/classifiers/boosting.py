@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel, mean_log_loss, sigmoid
+from .base import TrainedModel, mean_log_loss, sigmoid, thresholded
 from .tree import TreeNodes, build_newton_tree, presort, tree_apply
 
 
@@ -15,8 +15,12 @@ class GradientBoostedTreesModel(TrainedModel):
     hessians h = p(1 - p); leaf weights are the damped Newton step
     -G / (H + lambda) scaled by the learning rate. Split search is
     exhaustive, so training consumes no randomness. ``loss_curve`` holds the
-    mean training loss before boosting and after every round.
+    mean training loss before boosting and after every round. Round r
+    depends only on rounds before it, so the first m trees are the model
+    trained with ``rounds=m``.
     """
+
+    staged_hyperparameter = "rounds"
 
     def __init__(self, spec, feature_arity, trees, loss_curve):
         super().__init__(spec, feature_arity)
@@ -54,6 +58,18 @@ class GradientBoostedTreesModel(TrainedModel):
 
     def predict_proba(self, X):
         return sigmoid(self.decision_scores(X))
+
+    def staged_predict_sets(self, X, values):
+        X = self._check_arity(X)
+        wanted = self._stage_values(values)
+        eta = self.spec.hyperparameters["learning_rate"]
+        scores = np.zeros(X.shape[0], dtype=np.float64)
+        out = {}
+        for m, tree in enumerate(self.trees[:max(wanted)], start=1):
+            scores += eta * tree_apply(tree, X)
+            if m in wanted:
+                out[m] = thresholded(sigmoid(scores))
+        return out
 
     def to_state(self):
         return {"trees": [t.to_state() for t in self.trees],

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .base import TrainedModel
+from .base import TrainedModel, thresholded
 from .tree import TreeNodes, build_gini_tree, tree_apply
 
 
@@ -15,8 +15,11 @@ class RandomForestModel(TrainedModel):
 
     Tree t draws its bootstrap sample and per-node feature candidates from a
     dedicated generator seeded spec.seed + t, so trees are independent of
-    training order and the whole fit is reproducible.
+    training order and the whole fit is reproducible. So the first m trees
+    are the forest trained with ``n_trees=m``.
     """
+
+    staged_hyperparameter = "n_trees"
 
     def __init__(self, spec, feature_arity, trees, importance):
         super().__init__(spec, feature_arity)
@@ -50,6 +53,17 @@ class RandomForestModel(TrainedModel):
         for tree in self.trees:
             votes += tree_apply(tree, X) >= 0.5
         return votes / len(self.trees)
+
+    def staged_predict_sets(self, X, values):
+        X = self._check_arity(X)
+        wanted = self._stage_values(values)
+        votes = np.zeros(X.shape[0], dtype=np.int64)
+        out = {}
+        for m, tree in enumerate(self.trees[:max(wanted)], start=1):
+            votes += tree_apply(tree, X) >= 0.5
+            if m in wanted:
+                out[m] = thresholded(votes / m)
+        return out
 
     def to_state(self):
         return {"trees": [t.to_state() for t in self.trees],

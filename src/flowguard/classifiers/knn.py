@@ -17,6 +17,8 @@ class KnnModel(TrainedModel):
     the 0.5 threshold.
     """
 
+    staged_hyperparameter = "k"
+
     def __init__(self, spec, feature_arity, train_X, train_y):
         super().__init__(spec, feature_arity)
         self.train_X = np.ascontiguousarray(train_X, dtype=np.float64)
@@ -29,26 +31,30 @@ class KnnModel(TrainedModel):
                 f"k={spec.hyperparameters['k']} exceeds training size {X.shape[0]}")
         return cls(spec, X.shape[1], X, y)
 
-    def _neighbor_votes(self, X):
-        """Positive-vote count and nearest-neighbor label per query row."""
-        k = self.spec.hyperparameters["k"]
-        nn = nearest(X, self.train_X, k).index.reshape(-1, k)
-        return self.train_y[nn].sum(axis=1), self.train_y[nn[:, 0]]
-
     def predict_proba(self, X):
-        X = self._check_arity(X)
-        votes, _ = self._neighbor_votes(X)
-        return votes / self.spec.hyperparameters["k"]
+        return self.predict_set(X).probabilities
 
     def predict_set(self, X) -> PredictionSet:
-        X = self._check_arity(X)
         k = self.spec.hyperparameters["k"]
-        votes, nearest = self._neighbor_votes(X)
-        probs = votes / k
-        labels = (probs >= 0.5).astype(np.int64)
-        ties = votes * 2 == k  # exact half votes, even k only
-        labels[ties] = nearest[ties]
-        return PredictionSet(labels=labels, probabilities=probs)
+        return self.staged_predict_sets(X, (k,))[k]
+
+    def staged_predict_sets(self, X, values):
+        X = self._check_arity(X)
+        wanted = self._stage_values(values)
+        # Neighbours come in (distance, index) order, so the k nearest are
+        # the first k columns of the largest requested k.
+        nn = nearest(X, self.train_X, max(wanted)).index.reshape(-1, max(wanted))
+        votes_upto = np.cumsum(self.train_y[nn], axis=1)
+        first = self.train_y[nn[:, 0]]
+        out = {}
+        for k in wanted:
+            votes = votes_upto[:, k - 1]
+            probs = votes / k
+            labels = (probs >= 0.5).astype(np.int64)
+            ties = votes * 2 == k  # exact half votes, even k only
+            labels[ties] = first[ties]
+            out[k] = PredictionSet(labels=labels, probabilities=probs)
+        return out
 
     def to_state(self):
         return {"train_X": self.train_X.tolist(),

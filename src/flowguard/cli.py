@@ -19,7 +19,7 @@ from .dataset import (DEFAULT_LABEL_COLUMN, Dataset, apply_category_maps,
                       load_csv)
 from .experiment import (DISPLAY_NAMES, ExperimentConfig, report_to_dict,
                          run_full_experiment, write_report_files)
-from .metrics import evaluate_predictions
+from .metrics import evaluate_capture
 from .preprocess import (LofConfig, SmoteConfig, apply_scaler, scaler_from_dict,
                          scaler_to_dict)
 from .synth import SynthConfig, generate, write_csv
@@ -175,37 +175,27 @@ def _cmd_run(args):
     except OSError as exc:
         _fail("write", exc)
     if args.save_models:
-        _save_track_models(report, ds, cfg, out_dir, args.label_column)
+        _save_track_models(report, ds, out_dir, args.label_column)
     _print_summary(report)
     print(f"report written to {out_dir / 'report.json'}")
     return 0
 
 
-def _save_track_models(report, ds, cfg, out_dir, label_column):
-    # Retrain the chosen configuration per model-track and bundle the
-    # pipeline so `evaluate` can reproduce preprocessing. Training is
-    # deterministic, so these match the reported models exactly.
-    from .dataset import stratified_split
-    from .experiment import fit_track_pipeline
-
-    split = stratified_split(ds, cfg.split_ratio, cfg.seed)
+def _save_track_models(report, ds, out_dir, label_column):
+    # The run's own final models, each bundled with its track's fitted
+    # pipeline so `evaluate` can reproduce preprocessing.
     for track_report in report.tracks:
-        smote_cfg = cfg.smote if track_report.track == "balanced" else None
-        proc_train, state = fit_track_pipeline(split.train, smote_cfg, cfg.lof,
-                                               cfg.select_top_m, select_seed=cfg.seed)
+        state = track_report.state
         pipeline = {
             "scaler": scaler_to_dict(state.scaler),
             "category_maps": {k: list(v) for k, v in ds.category_maps.items()},
             "label_column": label_column,
-            "feature_names": list(split.train.feature_names),
+            "feature_names": list(ds.feature_names),
             "selected": None if state.selected is None else list(state.selected),
         }
         for m in track_report.models:
-            spec = clf.ModelSpec(kind=m.kind, hyperparameters=m.hyperparameters,
-                                 seed=cfg.seed)
-            model = clf.train(spec, proc_train)
             path = out_dir / f"model_{m.name}_{track_report.track}.json"
-            clf.save_model(model, path, pipeline=pipeline)
+            clf.save_model(m.model, path, pipeline=pipeline)
 
 
 def _cmd_inspect(args):
@@ -284,7 +274,7 @@ def _cmd_evaluate(args):
             ds = Dataset(feature_names=tuple(ds.feature_names[i] for i in keep),
                          X=ds.X[:, keep], y=ds.y, provenance=ds.provenance)
         pred = clf.predict(model, ds)
-        report, _ = evaluate_predictions(ds.y, pred.labels, pred.probabilities)
+        report = evaluate_capture(ds.y, pred.labels, pred.probabilities)
     except ValueError as exc:
         _fail("evaluate", exc)
     print(f"model: {args.model} (kind {model.kind})")
@@ -293,6 +283,8 @@ def _cmd_evaluate(args):
         if key in ("confusion", "degenerate"):
             continue
         print(f"{key}: {value:.6f}")
+    if report.degenerate:
+        print(f"degenerate: {', '.join(report.degenerate)}")
     cm = report.confusion
     print(f"confusion: tp={cm.tp} tn={cm.tn} fp={cm.fp} fn={cm.fn}")
     if args.out:

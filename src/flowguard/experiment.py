@@ -7,7 +7,17 @@ training rows and standardize with a train-fitted scaler (test data only
 ever sees the scaler). Every enabled model is grid-searched by stratified
 k-fold CV with preprocessing refit inside each fold, retrained on the full
 processed training partition, and evaluated once on the processed test
-partition.
+partition. The report keeps each final model and each track's fitted
+pipeline (outside the serialized report), so saving them retrains nothing.
+
+Grid points that differ only in their learner's staged hyperparameter (GBT
+rounds, RF n_trees, KNN k: see ``TrainedModel.staged_predict_sets``) share
+one fit per fold. The fold-f model trains once, under the fold seed
+spec.seed + f that every fold model uses, with the largest value of the
+group; every value is scored from its staged predictions, which are exactly
+those of a model trained with that value alone. A group whose fit
+or scoring raises ValueError falls back to one fit per point, so each point
+succeeds or fails on its own. ``kfold_cv`` is the one-point case.
 
 Seed derivations (everything flows from cfg.seed unless noted):
   split                     cfg.seed
@@ -139,6 +149,7 @@ class ModelResult:
     test: MetricsReport
     roc: RocCurve
     grid_trace: tuple
+    model: clf.TrainedModel = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,7 @@ class TrackReport:
     constant_features: tuple
     selected_features: tuple | None
     models: tuple
+    state: PipelineState = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -250,6 +262,39 @@ def build_fold_datasets(train: Dataset, n_folds: int, seed: int,
     return folds
 
 
+def _stage_accuracies(model, ds: Dataset, values) -> dict:
+    """Accuracy on ds per staged value; None stands for the model itself."""
+    if model.staged_hyperparameter is None:
+        predictions = {None: clf.predict(model, ds)}
+    else:
+        predictions = model.staged_predict_sets(ds.X, values)
+    return {value: _accuracy(pred, ds) for value, pred in predictions.items()}
+
+
+def _cross_validate(specs, fold_datasets) -> list:
+    """One CvResult per spec, for specs that differ at most in the staged
+    hyperparameter of their kind.
+
+    The fold-f model trains once, under seed spec.seed + f, with the largest
+    staged value among the specs; every spec is scored from its staged
+    predictions on the fold's training and held-out parts.
+    """
+    stage = clf.staged_hyperparameter(specs[0].kind)
+    values = [s.hyperparameters[stage] if stage else None for s in specs]
+    top = specs[values.index(max(values))] if stage else specs[0]
+    per_spec = [[] for _ in specs]
+    for f, (proc_tr, proc_va) in enumerate(fold_datasets):
+        model = clf.train(top.with_seed(top.seed + f), proc_tr)
+        train_acc = _stage_accuracies(model, proc_tr, values)
+        val_acc = _stage_accuracies(model, proc_va, values)
+        for results, value in zip(per_spec, values):
+            results.append(FoldResult(fold=f, train_accuracy=train_acc[value],
+                                      validation_accuracy=val_acc[value]))
+    return [CvResult(mean_accuracy=sum(r.validation_accuracy for r in results)
+                     / len(results), folds=tuple(results))
+            for results in per_spec]
+
+
 def kfold_cv(spec, train: Dataset | None = None, folds: int = 5, seed: int = 0,
              *, fold_datasets=None, smote_cfg=None, lof_cfg=None) -> CvResult:
     """Stratified k-fold cross-validation accuracy for one model spec.
@@ -264,15 +309,7 @@ def kfold_cv(spec, train: Dataset | None = None, folds: int = 5, seed: int = 0,
             raise ValueError("kfold_cv needs either train data or fold_datasets")
         fold_datasets = build_fold_datasets(train, folds, seed,
                                             smote_cfg=smote_cfg, lof_cfg=lof_cfg)
-    results = []
-    for f, (proc_tr, proc_va) in enumerate(fold_datasets):
-        model = clf.train(spec.with_seed(spec.seed + f), proc_tr)
-        train_acc = _accuracy(clf.predict(model, proc_tr), proc_tr)
-        val_acc = _accuracy(clf.predict(model, proc_va), proc_va)
-        results.append(FoldResult(fold=f, train_accuracy=train_acc,
-                                  validation_accuracy=val_acc))
-    mean = sum(r.validation_accuracy for r in results) / len(results)
-    return CvResult(mean_accuracy=mean, folds=tuple(results))
+    return _cross_validate([spec], fold_datasets)[0]
 
 
 def expand_grid(grid: dict):
@@ -284,6 +321,20 @@ def expand_grid(grid: dict):
     return combos
 
 
+def _stage_groups(points, stage) -> list:
+    """Indices of points grouped by every parameter except ``stage``."""
+    groups = []  # (the other parameters, member indices)
+    for i, params in enumerate(points):
+        rest = {p: v for p, v in params.items() if p != stage}
+        for key, members in groups:
+            if key == rest:
+                members.append(i)
+                break
+        else:
+            groups.append((rest, [i]))
+    return [members for _, members in groups]
+
+
 def grid_search(kind: str, grid: dict, train: Dataset | None = None,
                 folds: int = 5, seed: int = 0, *, fold_datasets=None,
                 smote_cfg=None, lof_cfg=None) -> GridSearchOutcome:
@@ -293,22 +344,39 @@ def grid_search(kind: str, grid: dict, train: Dataset | None = None,
     listed first. Combinations that cannot train (the learner raises
     ValueError) are skipped with a logged warning; any other exception is a
     bug and propagates. If every combination fails, the search raises.
+    Points that differ only in the staged hyperparameter share their fits
+    (see the module docstring); the outcome is the same as fitting each.
     """
     if fold_datasets is None:
         if train is None:
             raise ValueError("grid_search needs either train data or fold_datasets")
         fold_datasets = build_fold_datasets(train, folds, seed,
                                             smote_cfg=smote_cfg, lof_cfg=lof_cfg)
+    points = expand_grid(grid)
+    specs = [clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
+             for params in points]
+
+    def cross_validate(members):
+        """CvResult, or why the point failed, per member point."""
+        try:
+            return _cross_validate([specs[i] for i in members], fold_datasets)
+        except ValueError as exc:
+            if len(members) > 1:  # retry each point alone
+                return [r for i in members for r in cross_validate([i])]
+            logger.warning("grid combination %s %s failed: %s", kind,
+                           points[members[0]], exc)
+            return [str(exc)]
+
+    results = [None] * len(points)
+    for members in _stage_groups(points, clf.staged_hyperparameter(kind)):
+        for i, result in zip(members, cross_validate(members)):
+            results[i] = result
     best = None
     trace = []
-    for params in expand_grid(grid):
-        spec = clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
-        try:
-            cv = kfold_cv(spec, fold_datasets=fold_datasets)
-        except ValueError as exc:
-            logger.warning("grid combination %s %s failed: %s", kind, params, exc)
+    for params, spec, cv in zip(points, specs, results):
+        if isinstance(cv, str):
             trace.append(GridPoint(params=dict(params), mean_cv_accuracy=None,
-                                   error=str(exc)))
+                                   error=cv))
             continue
         trace.append(GridPoint(params=dict(params),
                                mean_cv_accuracy=cv.mean_accuracy))
@@ -356,7 +424,7 @@ def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackRepor
             training_accuracy=training_accuracy,
             mean_cv_accuracy=outcome.mean_cv_accuracy,
             folds=outcome.folds, test=test_report, roc=roc,
-            grid_trace=outcome.trace))
+            grid_trace=outcome.trace, model=model))
 
     scaler = state.scaler
     constant = tuple(split.train.feature_names[i]
@@ -369,7 +437,7 @@ def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackRepor
                        lof_removed=state.lof_removed,
                        train_rows=proc_train.n_rows,
                        constant_features=constant, selected_features=selected,
-                       models=tuple(models))
+                       models=tuple(models), state=state)
 
 
 def run_full_experiment(cfg: ExperimentConfig, ds: Dataset) -> ExperimentReport:

@@ -238,3 +238,23 @@ def evaluate_predictions(y_true, labels, probabilities):
                            confusion=cm,
                            degenerate=tuple(core.degenerate) + tuple(agree.degenerate))
     return report, curve
+
+
+def evaluate_capture(y_true, labels, probabilities) -> MetricsReport:
+    """MetricsReport for a scored capture, which may hold a single class.
+
+    With both classes present this is ``evaluate_predictions``' report. With
+    one class AUC is undefined, so it comes back as 0.0 and is listed under
+    ``degenerate`` with the other undefined metrics.
+    """
+    cm = confusion_matrix(y_true, labels)
+    if cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0:
+        return evaluate_predictions(y_true, labels, probabilities)[0]
+    core = core_metrics(cm)
+    agree = agreement_metrics(cm)
+    return MetricsReport(accuracy=core.accuracy, precision=core.precision,
+                         recall=core.recall, f1=core.f1, auc=0.0,
+                         kappa=agree.kappa, mcc=agree.mcc,
+                         brier=brier_score(y_true, probabilities), confusion=cm,
+                         degenerate=(tuple(core.degenerate) + ("auc",)
+                                     + tuple(agree.degenerate)))

@@ -7,7 +7,9 @@ numpy paths is therefore meaningful evidence, not a tautology.
 
 The tree builders are the exception: they are the per-node, per-feature
 sorting search that the presorted split kernel replaced, kept as they
-were so that trees can be compared bit for bit.
+were so that trees can be compared bit for bit. So are the per-point grid
+search, which trains every grid point in every fold, and the
+``--save-models`` writer that retrains every final model to save it.
 """
 
 import math
@@ -15,7 +17,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from flowguard import classifiers as clf
 from flowguard.classifiers.tree import TreeNodes, _TreeBuilder
+from flowguard.dataset import stratified_split
+from flowguard.experiment import (CvResult, FoldResult, GridPoint,
+                                  GridSearchOutcome, _accuracy, expand_grid,
+                                  fit_track_pipeline)
+from flowguard.preprocess import scaler_to_dict
 
 
 def confusion_counts(y_true, y_pred):
@@ -305,3 +313,62 @@ def newton_tree_brute(X, g, h, max_depth, reg_lambda) -> TreeNodes:
         stack.append((idx[~go_left], depth + 1, right_slot))
         stack.append((idx[go_left], depth + 1, left_slot))
     return builder.finish()
+
+
+def kfold_cv_brute(spec, fold_datasets) -> CvResult:
+    """One model trained and scored per fold, under seed spec.seed + f."""
+    results = []
+    for f, (proc_tr, proc_va) in enumerate(fold_datasets):
+        model = clf.train(spec.with_seed(spec.seed + f), proc_tr)
+        train_acc = _accuracy(clf.predict(model, proc_tr), proc_tr)
+        val_acc = _accuracy(clf.predict(model, proc_va), proc_va)
+        results.append(FoldResult(fold=f, train_accuracy=train_acc,
+                                  validation_accuracy=val_acc))
+    mean = sum(r.validation_accuracy for r in results) / len(results)
+    return CvResult(mean_accuracy=mean, folds=tuple(results))
+
+
+def grid_search_brute(kind, grid, fold_datasets, seed) -> GridSearchOutcome:
+    """Every grid point cross-validated on its own, in expand_grid order."""
+    best = None
+    trace = []
+    for params in expand_grid(grid):
+        spec = clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
+        try:
+            cv = kfold_cv_brute(spec, fold_datasets)
+        except ValueError as exc:
+            trace.append(GridPoint(params=dict(params), mean_cv_accuracy=None,
+                                   error=str(exc)))
+            continue
+        trace.append(GridPoint(params=dict(params),
+                               mean_cv_accuracy=cv.mean_accuracy))
+        if best is None or cv.mean_accuracy > best[1].mean_accuracy:
+            best = (spec, cv)
+    if best is None:
+        raise ValueError(f"every grid combination failed for {kind}")
+    spec, cv = best
+    return GridSearchOutcome(best_spec=spec, mean_cv_accuracy=cv.mean_accuracy,
+                             folds=cv.folds, trace=tuple(trace))
+
+
+def save_track_models_retrain(report, ds, out_dir, label_column):
+    """Refit each track's pipeline and retrain its chosen models to save them."""
+    cfg = report.config
+    split = stratified_split(ds, cfg.split_ratio, cfg.seed)
+    for track_report in report.tracks:
+        smote_cfg = cfg.smote if track_report.track == "balanced" else None
+        proc_train, state = fit_track_pipeline(split.train, smote_cfg, cfg.lof,
+                                               cfg.select_top_m, select_seed=cfg.seed)
+        pipeline = {
+            "scaler": scaler_to_dict(state.scaler),
+            "category_maps": {k: list(v) for k, v in ds.category_maps.items()},
+            "label_column": label_column,
+            "feature_names": list(split.train.feature_names),
+            "selected": None if state.selected is None else list(state.selected),
+        }
+        for m in track_report.models:
+            spec = clf.ModelSpec(kind=m.kind, hyperparameters=m.hyperparameters,
+                                 seed=cfg.seed)
+            model = clf.train(spec, proc_train)
+            path = out_dir / f"model_{m.name}_{track_report.track}.json"
+            clf.save_model(model, path, pipeline=pipeline)

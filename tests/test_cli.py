@@ -103,6 +103,62 @@ def test_evaluate_saved_model(corpus, finished_run, capsys, tmp_path):
         assert 0.0 <= float(prob) <= 1.0  # plain decimal text, no reprs
 
 
+def test_save_models_trains_nothing_extra(corpus, tmp_path, monkeypatch, capsys):
+    import flowguard.classifiers as classifiers
+    from flowguard import cli
+    from oracles import save_track_models_retrain
+
+    trained = []
+    train = classifiers.train
+    monkeypatch.setattr(classifiers, "train",
+                        lambda spec, ds: trained.append(spec) or train(spec, ds))
+    saved = []
+    save = cli._save_track_models
+    monkeypatch.setattr(cli, "_save_track_models",
+                        lambda *args: saved.append(args) or save(*args))
+    counts = {}
+    for flags in ([], ["--save-models"]):
+        trained.clear()
+        out = tmp_path / ("saved" if flags else "plain")
+        assert main(["run", "--data", str(corpus), "--folds", "3",
+                     "--out", str(out)] + flags) == 0
+        counts[bool(flags)] = len(trained)
+    capsys.readouterr()
+    assert counts[True] == counts[False]
+
+    # the saved bundles are those a retraining writer produces, byte for byte
+    (report, ds, out, label_column), = saved
+    retrained = tmp_path / "retrained"
+    retrained.mkdir()
+    save_track_models_retrain(report, ds, retrained, label_column)
+    names = sorted(p.name for p in out.glob("model_*.json"))
+    assert len(names) == 10
+    assert sorted(p.name for p in retrained.glob("model_*.json")) == names
+    for name in names:
+        assert (out / name).read_bytes() == (retrained / name).read_bytes(), name
+
+
+def test_evaluate_single_class_capture(corpus, finished_run, tmp_path, capsys):
+    lines = corpus.read_text().strip().split("\n")
+    label = lines[0].split(",").index("label")
+    benign = [line for line in lines[1:] if line.split(",")[label] == "0"]
+    data = tmp_path / "benign.csv"
+    data.write_text("\n".join([lines[0]] + benign) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(finished_run / "model_rf_balanced.json"),
+                 "--data", str(data)]) == 0, capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert f"rows: {len(benign)}" in out
+    for metric in ("accuracy", "precision", "recall", "f1", "auc", "kappa",
+                   "mcc", "brier"):
+        assert f"{metric}: " in out
+    assert "auc: 0.000000" in out
+    degenerate = next(line for line in out.splitlines()
+                      if line.startswith("degenerate: "))
+    assert "auc" in degenerate.split(": ")[1].split(", ")
+    assert "tp=0" in out and "fn=0" in out
+
+
 def _rewrite_csv(src, dst, header_map=None, order=None):
     """Copy a CSV, renaming header cells and/or reordering its columns."""
     rows = [line.split(",") for line in src.read_text().strip().split("\n")]

@@ -6,42 +6,19 @@ under stratified cross-validation and compare the imbalanced and balanced
 training regimes on one shared test split.
 """
 
-from .classifiers import (ModelSpec, PredictionSet, gradient_check, load_model,
-                          make_spec, predict, save_model, train)
-from .dataset import (Dataset, LabelDistribution, LoadError, SplitPair,
-                      apply_category_maps, content_hash, dataset_to_csv,
-                      encode_categoricals, impute_missing, label_distribution,
-                      load_category_maps, load_csv, save_category_maps,
+from .dataset import (Dataset, apply_category_maps, encode_categoricals,
+                      impute_missing, label_distribution, load_csv,
                       stratified_split)
-from .experiment import (DEFAULT_GRIDS, ExperimentConfig, ExperimentReport,
-                         grid_search, kfold_cv, report_to_dict, report_to_json,
-                         run_full_experiment, run_track, write_report_files)
-from .metrics import (AgreementMetrics, ConfusionMatrix, CoreMetrics,
-                      MetricsReport, RocCurve, agreement_metrics, brier_score,
-                      confusion_matrix, core_metrics, evaluate_predictions,
-                      roc_auc)
-from .preprocess import (LofConfig, OutlierRemoval, Scaler, SmoteConfig,
-                         apply_scaler, fit_scaler, lof_scores, remove_outliers,
-                         smote_oversample)
+from .preprocess import (LofConfig, SmoteConfig, apply_scaler, fit_scaler,
+                         lof_scores, remove_outliers, smote_oversample)
 from .synth import SynthConfig, generate, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelSpec", "PredictionSet", "gradient_check", "load_model", "make_spec",
-    "predict", "save_model", "train",
-    "Dataset", "LabelDistribution", "LoadError", "SplitPair",
-    "apply_category_maps", "content_hash", "dataset_to_csv",
-    "encode_categoricals", "impute_missing", "label_distribution",
-    "load_category_maps", "load_csv", "save_category_maps", "stratified_split",
-    "DEFAULT_GRIDS", "ExperimentConfig", "ExperimentReport", "grid_search",
-    "kfold_cv", "report_to_dict", "report_to_json", "run_full_experiment",
-    "run_track", "write_report_files",
-    "AgreementMetrics", "ConfusionMatrix", "CoreMetrics", "MetricsReport",
-    "RocCurve", "agreement_metrics", "brier_score", "confusion_matrix",
-    "core_metrics", "evaluate_predictions", "roc_auc",
-    "LofConfig", "OutlierRemoval", "Scaler", "SmoteConfig", "apply_scaler",
-    "fit_scaler", "lof_scores", "remove_outliers", "smote_oversample",
+    "Dataset", "apply_category_maps", "encode_categoricals", "impute_missing",
+    "label_distribution", "load_csv", "stratified_split",
+    "LofConfig", "SmoteConfig", "apply_scaler", "fit_scaler", "lof_scores",
+    "remove_outliers", "smote_oversample",
     "SynthConfig", "generate", "write_csv",
-    "__version__",
 ]

@@ -1,9 +1,14 @@
 """Five binary classifiers behind one train/predict interface.
 
-Kinds: RF (random forest), GBT (gradient-boosted trees, reported as "xgb"),
-KNN, MLP, SVC (linear). ``train`` dispatches on ModelSpec.kind; ``predict``
-returns hard labels and class-1 probabilities with the decision threshold
-fixed at 0.5.
+Each learner is one ``TrainedModel`` subclass that states the facts of its
+kind: kind string, report name, default hyperparameters, default grid,
+range checks and single-class rule (see ``TrainedModel``). ``LEARNERS``
+lists the classes once, in report order; specs, training, persistence and
+the experiment's defaults all read them from there. Adding a learner means
+writing its class and adding it to ``LEARNERS``.
+
+``train`` fits the learner of ModelSpec.kind; ``predict`` returns hard
+labels and class-1 probabilities with the decision threshold fixed at 0.5.
 """
 
 from __future__ import annotations
@@ -11,9 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dataset import Dataset
-from .base import (DEFAULT_HYPERPARAMETERS, MODEL_KINDS, SINGLE_CLASS_ERRORS,
-                   ModelSpec, PredictionSet, TrainedModel, mean_log_loss,
-                   sigmoid, softplus)
+from .base import ModelSpec, PredictionSet, TrainedModel
 from .boosting import GradientBoostedTreesModel
 from .forest import RandomForestModel
 from .knn import KnnModel
@@ -21,13 +24,18 @@ from .mlp import MlpModel, gradient_check
 from .persistence import load_model, save_model
 from .svc import LinearSvcModel
 
-_TRAINERS = {
-    "RF": RandomForestModel,
-    "GBT": GradientBoostedTreesModel,
-    "KNN": KnnModel,
-    "MLP": MlpModel,
-    "SVC": LinearSvcModel,
-}
+# Report order matches the result-table convention: RF, SVC, KNN, MLP, XGB.
+LEARNERS = (RandomForestModel, LinearSvcModel, KnnModel, MlpModel,
+            GradientBoostedTreesModel)
+MODEL_KINDS = tuple(c.kind for c in LEARNERS)
+
+
+def learner(kind: str) -> type:
+    """The learner class of a model kind; ValueError if there is none."""
+    for cls in LEARNERS:
+        if cls.kind == kind:
+            return cls
+    raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
 def make_spec(kind: str, seed: int = 0, **hyperparameters) -> ModelSpec:
@@ -35,17 +43,11 @@ def make_spec(kind: str, seed: int = 0, **hyperparameters) -> ModelSpec:
     return ModelSpec(kind=kind, hyperparameters=hyperparameters, seed=seed)
 
 
-def staged_hyperparameter(kind: str):
-    """The kind's hyperparameter whose smaller values are prefixes of one
-    fit (see ``TrainedModel.staged_predict_sets``), or None."""
-    return _TRAINERS[kind].staged_hyperparameter
-
-
 def train(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
     """Fit the learner named by the spec on an encoded dataset.
 
-    A training set containing a single class raises for GBT/SVC/MLP (their
-    objectives degenerate); RF and KNN simply become constant predictors.
+    A training set containing a single class raises for a learner that
+    ``needs_two_classes``; the others simply become constant predictors.
     """
     if not dataset.is_numeric:
         raise ValueError("training requires a numeric (encoded) dataset")
@@ -54,11 +56,11 @@ def train(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
     X = np.ascontiguousarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.int64)
     classes = np.unique(y)
-    if len(classes) < 2 and spec.kind in SINGLE_CLASS_ERRORS:
+    if len(classes) < 2 and spec.learner.needs_two_classes:
         raise ValueError(
             f"{spec.kind} cannot train on a single-class dataset (only class "
             f"{int(classes[0])} present)")
-    return _TRAINERS[spec.kind].fit(spec, X, y)
+    return spec.learner.fit(spec, X, y)
 
 
 def predict(model: TrainedModel, dataset: Dataset) -> PredictionSet:
@@ -69,9 +71,6 @@ def predict(model: TrainedModel, dataset: Dataset) -> PredictionSet:
 
 
 __all__ = [
-    "DEFAULT_HYPERPARAMETERS", "MODEL_KINDS", "SINGLE_CLASS_ERRORS",
-    "ModelSpec", "PredictionSet", "TrainedModel", "GradientBoostedTreesModel",
-    "RandomForestModel", "KnnModel", "MlpModel", "LinearSvcModel",
-    "make_spec", "staged_hyperparameter", "train", "predict", "gradient_check",
-    "save_model", "load_model", "mean_log_loss", "sigmoid", "softplus",
+    "LEARNERS", "MODEL_KINDS", "ModelSpec", "gradient_check", "learner",
+    "load_model", "make_spec", "predict", "save_model", "train",
 ]

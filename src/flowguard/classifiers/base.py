@@ -13,22 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MODEL_KINDS = ("RF", "SVC", "KNN", "MLP", "GBT")
-
-DEFAULT_HYPERPARAMETERS = {
-    "RF": {"n_trees": 100, "max_depth": None, "min_samples_split": 2,
-           "bootstrap": True},
-    "GBT": {"rounds": 100, "depth": 3, "learning_rate": 0.1, "reg_lambda": 1.0},
-    "KNN": {"k": 5},
-    "MLP": {"hidden_sizes": (64, 32), "learning_rate": 0.01, "momentum": 0.9,
-            "batch_size": 64, "epochs": 50},
-    "SVC": {"reg_lambda": 1e-4, "epochs": 20},
-}
-
-# Kinds whose optimization is undefined on a single class; RF and KNN instead
-# degrade to constant predictors.
-SINGLE_CLASS_ERRORS = ("GBT", "SVC", "MLP")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -37,42 +21,25 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
+        learner = self.learner
+        merged = dict(learner.defaults)
         for key, value in self.hyperparameters.items():
             if key not in merged:
                 raise ValueError(f"unknown hyperparameter {key!r} for kind {self.kind}")
             merged[key] = value
-        if "hidden_sizes" in merged:
-            merged["hidden_sizes"] = tuple(int(h) for h in merged["hidden_sizes"])
-        _validate_hyperparameters(self.kind, merged)
+        learner.check_hyperparameters(merged)
         object.__setattr__(self, "hyperparameters", merged)
         object.__setattr__(self, "seed", int(self.seed))
+
+    @property
+    def learner(self):
+        """The TrainedModel subclass of this kind; ValueError if none."""
+        from . import learner  # the registry imports this module
+        return learner(self.kind)
 
     def with_seed(self, seed: int) -> "ModelSpec":
         return ModelSpec(kind=self.kind, hyperparameters=dict(self.hyperparameters),
                          seed=seed)
-
-
-def _validate_hyperparameters(kind, hp):
-    positive = {
-        "RF": ["n_trees", "min_samples_split"],
-        "GBT": ["rounds", "depth", "learning_rate", "reg_lambda"],
-        "KNN": ["k"],
-        "MLP": ["learning_rate", "batch_size", "epochs"],
-        "SVC": ["reg_lambda", "epochs"],
-    }[kind]
-    for key in positive:
-        if not hp[key] > 0:
-            raise ValueError(f"{kind} hyperparameter {key} must be positive, got {hp[key]}")
-    if kind == "RF" and hp["max_depth"] is not None and hp["max_depth"] < 1:
-        raise ValueError("RF max_depth must be None or >= 1")
-    if kind == "MLP":
-        if not 0.0 <= hp["momentum"] < 1.0:
-            raise ValueError("MLP momentum must lie in [0, 1)")
-        if any(h < 1 for h in hp["hidden_sizes"]):
-            raise ValueError("MLP hidden layer sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -94,20 +61,43 @@ class PredictionSet:
 class TrainedModel:
     """Base for fitted models: stores the spec and input arity.
 
+    Each learner subclass states the facts of its kind once, as class
+    attributes that the rest of the program reads:
+
+    - ``kind``: the ModelSpec kind, e.g. "GBT";
+    - ``report_name``: its name in reports and file names, e.g. "xgb";
+    - ``defaults``: every hyperparameter with its default, in report order;
+    - ``default_grid``: the values an experiment searches unless told;
+    - ``positive``: the hyperparameters that must be > 0 (a learner with
+      further range rules extends ``check_hyperparameters``);
+    - ``needs_two_classes``: training on one class raises, because the
+      objective degenerates, instead of giving a constant predictor.
+
     A learner whose fit for a smaller value of one hyperparameter is an exact
     prefix of its fit for a larger value names that hyperparameter in
     ``staged_hyperparameter`` and implements ``staged_predict_sets``.
     """
 
+    kind = None
+    report_name = None
+    defaults = {}
+    default_grid = {}
+    positive = ()
+    needs_two_classes = False
     staged_hyperparameter = None
 
     def __init__(self, spec: ModelSpec, feature_arity: int):
         self.spec = spec
         self.feature_arity = int(feature_arity)
 
-    @property
-    def kind(self):
-        return self.spec.kind
+    @classmethod
+    def check_hyperparameters(cls, hp):
+        """Raise ValueError for a value out of range; may normalize hp in
+        place."""
+        for key in cls.positive:
+            if not hp[key] > 0:
+                raise ValueError(f"{cls.kind} hyperparameter {key} must be "
+                                 f"positive, got {hp[key]}")
 
     def predict_proba(self, X) -> np.ndarray:
         raise NotImplementedError

@@ -20,6 +20,12 @@ class GradientBoostedTreesModel(TrainedModel):
     trained with ``rounds=m``.
     """
 
+    kind = "GBT"
+    report_name = "xgb"
+    defaults = {"rounds": 100, "depth": 3, "learning_rate": 0.1, "reg_lambda": 1.0}
+    default_grid = {"rounds": (50, 100), "learning_rate": (0.1, 0.3)}
+    positive = ("rounds", "depth", "learning_rate", "reg_lambda")
+    needs_two_classes = True
     staged_hyperparameter = "rounds"
 
     def __init__(self, spec, feature_arity, trees, loss_curve):

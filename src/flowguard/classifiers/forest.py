@@ -19,12 +19,24 @@ class RandomForestModel(TrainedModel):
     are the forest trained with ``n_trees=m``.
     """
 
+    kind = "RF"
+    report_name = "rf"
+    defaults = {"n_trees": 100, "max_depth": None, "min_samples_split": 2,
+                "bootstrap": True}
+    default_grid = {"n_trees": (50, 100)}
+    positive = ("n_trees", "min_samples_split")
     staged_hyperparameter = "n_trees"
 
     def __init__(self, spec, feature_arity, trees, importance):
         super().__init__(spec, feature_arity)
         self.trees = trees
         self.feature_importance = importance
+
+    @classmethod
+    def check_hyperparameters(cls, hp):
+        super().check_hyperparameters(hp)
+        if hp["max_depth"] is not None and hp["max_depth"] < 1:
+            raise ValueError("RF max_depth must be None or >= 1")
 
     @classmethod
     def fit(cls, spec, X, y):

@@ -17,6 +17,11 @@ class KnnModel(TrainedModel):
     the 0.5 threshold.
     """
 
+    kind = "KNN"
+    report_name = "knn"
+    defaults = {"k": 5}
+    default_grid = {"k": (3, 5, 7)}
+    positive = ("k",)
     staged_hyperparameter = "k"
 
     def __init__(self, spec, feature_arity, train_X, train_y):

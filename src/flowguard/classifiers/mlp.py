@@ -63,6 +63,23 @@ def bce_loss(weights, biases, X, y) -> float:
 
 
 class MlpModel(TrainedModel):
+    kind = "MLP"
+    report_name = "mlp"
+    defaults = {"hidden_sizes": (64, 32), "learning_rate": 0.01, "momentum": 0.9,
+                "batch_size": 64, "epochs": 50}
+    default_grid = {"learning_rate": (0.01, 0.001)}
+    positive = ("learning_rate", "batch_size", "epochs")
+    needs_two_classes = True
+
+    @classmethod
+    def check_hyperparameters(cls, hp):
+        hp["hidden_sizes"] = tuple(int(h) for h in hp["hidden_sizes"])
+        super().check_hyperparameters(hp)
+        if not 0.0 <= hp["momentum"] < 1.0:
+            raise ValueError("MLP momentum must lie in [0, 1)")
+        if any(h < 1 for h in hp["hidden_sizes"]):
+            raise ValueError("MLP hidden layer sizes must be >= 1")
+
     def __init__(self, spec, feature_arity, weights, biases, loss_curve):
         super().__init__(spec, feature_arity)
         self.weights = weights

@@ -17,16 +17,6 @@ FORMAT_TAG = "flowguard-model"
 FORMAT_VERSION = 1
 
 
-def _registry():
-    from .boosting import GradientBoostedTreesModel
-    from .forest import RandomForestModel
-    from .knn import KnnModel
-    from .mlp import MlpModel
-    from .svc import LinearSvcModel
-    return {"RF": RandomForestModel, "GBT": GradientBoostedTreesModel,
-            "KNN": KnnModel, "MLP": MlpModel, "SVC": LinearSvcModel}
-
-
 def save_model(model, path, pipeline: dict | None = None) -> None:
     hp = {}
     for key, value in model.spec.hyperparameters.items():
@@ -55,11 +45,7 @@ def load_model(path):
         raise ValueError(f"{path!r} is not a {FORMAT_TAG} file")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    kind = doc["kind"]
-    registry = _registry()
-    if kind not in registry:
-        raise ValueError(f"unknown model kind {kind!r} in {path!r}")
-    spec = ModelSpec(kind=kind, hyperparameters=doc["hyperparameters"],
+    spec = ModelSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"],
                      seed=doc["seed"])
-    model = registry[kind].from_state(spec, doc["feature_arity"], doc["state"])
+    model = spec.learner.from_state(spec, doc["feature_arity"], doc["state"])
     return model, doc.get("pipeline")

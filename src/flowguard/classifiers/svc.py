@@ -92,6 +92,13 @@ def _fit_platt(decision, y, max_iter=100, min_step=1e-10, ridge=1e-12):
 
 
 class LinearSvcModel(TrainedModel):
+    kind = "SVC"
+    report_name = "svc"
+    defaults = {"reg_lambda": 1e-4, "epochs": 20}
+    default_grid = {"reg_lambda": (1e-3, 1e-4)}
+    positive = ("reg_lambda", "epochs")
+    needs_two_classes = True
+
     def __init__(self, spec, feature_arity, w, platt_a, platt_b):
         super().__init__(spec, feature_arity)
         self.w = np.asarray(w, dtype=np.float64)

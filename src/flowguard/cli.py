@@ -14,13 +14,14 @@ import sys
 from pathlib import Path
 
 from . import classifiers as clf
-from .dataset import (DEFAULT_LABEL_COLUMN, Dataset, apply_category_maps,
+from .dataset import (DEFAULT_LABEL_COLUMN, apply_category_maps,
                       encode_categoricals, impute_missing, label_distribution,
                       load_csv)
-from .experiment import (DISPLAY_NAMES, ExperimentConfig, report_to_dict,
-                         run_full_experiment, write_report_files)
+from .experiment import (ExperimentConfig, PipelineState, report_to_dict,
+                         run_full_experiment, transform_with_pipeline,
+                         write_report_files)
 from .metrics import evaluate_capture
-from .preprocess import (LofConfig, SmoteConfig, apply_scaler, scaler_from_dict,
+from .preprocess import (LofConfig, SmoteConfig, scaler_from_dict,
                          scaler_to_dict)
 from .synth import SynthConfig, generate, write_csv
 
@@ -97,6 +98,7 @@ def _load_config_file(path):
 
 
 def _build_experiment_config(args):
+    """ExperimentConfig from the settings given; the dataclasses default the rest."""
     settings = _load_config_file(args.config) if args.config else {}
     # Flags override file values.
     if args.seed is not None:
@@ -107,19 +109,19 @@ def _build_experiment_config(args):
         settings["split_ratio"] = args.ratio
     if args.tracks is not None:
         settings["tracks"] = args.tracks
+    fields = {}
+    stages = {"smote": {}, "lof": {}}  # keywords of SmoteConfig and LofConfig
+    for key, value in settings.items():
+        stage, _, name = key.partition("_")
+        if stage in stages:
+            stages[stage][name] = value
+        elif key == "tracks":
+            fields[key] = tuple(t.strip() for t in value.split(",") if t.strip())
+        else:
+            fields[key] = value
     try:
-        tracks = tuple(t.strip() for t in settings.get("tracks",
-                       "imbalanced,balanced").split(",") if t.strip())
-        smote = SmoteConfig(k_neighbors=settings.get("smote_k_neighbors", 5),
-                            target_ratio=settings.get("smote_target_ratio", 1.0),
-                            seed=settings.get("smote_seed", 0))
-        lof = LofConfig(k_neighbors=settings.get("lof_k_neighbors", 20),
-                        threshold=settings.get("lof_threshold", 1.5))
-        return ExperimentConfig(split_ratio=settings.get("split_ratio", 0.8),
-                                cv_folds=settings.get("cv_folds", 5),
-                                seed=settings.get("seed", 0), tracks=tracks,
-                                smote=smote, lof=lof,
-                                select_top_m=settings.get("select_top_m"))
+        return ExperimentConfig(smote=SmoteConfig(**stages["smote"]),
+                                lof=LofConfig(**stages["lof"]), **fields)
     except ValueError as exc:
         _fail("config", exc)
 
@@ -268,11 +270,9 @@ def _cmd_evaluate(args):
     except ValueError as exc:
         _fail("load", exc)
     try:
-        ds = apply_scaler(scaler_from_dict(pipeline["scaler"]), ds)
-        if pipeline.get("selected") is not None:
-            keep = list(pipeline["selected"])
-            ds = Dataset(feature_names=tuple(ds.feature_names[i] for i in keep),
-                         X=ds.X[:, keep], y=ds.y, provenance=ds.provenance)
+        state = PipelineState(scaler=scaler_from_dict(pipeline["scaler"]),
+                              selected=pipeline.get("selected"))
+        ds = transform_with_pipeline(state, ds)
         pred = clf.predict(model, ds)
         report = evaluate_capture(ds.y, pred.labels, pred.probabilities)
     except ValueError as exc:

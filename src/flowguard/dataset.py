@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -287,19 +286,6 @@ def apply_category_maps(ds: Dataset, maps: dict) -> Dataset:
                 raise ValueError(f"no category map for categorical column {name!r}")
             X[:, j] = [float(v) for v in col]
     return ds.replace(X=X, category_maps=dict(maps))
-
-
-def save_category_maps(maps: dict, path) -> None:
-    """Persist column -> token-order mappings as a JSON sidecar."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({k: list(v) for k, v in maps.items()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_category_maps(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {k: tuple(v) for k, v in raw.items()}
 
 
 def label_distribution(ds: Dataset) -> LabelDistribution:

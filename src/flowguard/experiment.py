@@ -17,7 +17,9 @@ spec.seed + f that every fold model uses, with the largest value of the
 group; every value is scored from its staged predictions, which are exactly
 those of a model trained with that value alone. A group whose fit
 or scoring raises ValueError falls back to one fit per point, so each point
-succeeds or fails on its own. ``kfold_cv`` is the one-point case.
+succeeds or fails on its own. ``kfold_cv`` scores a single spec the same
+way. Both take prebuilt folds (``build_fold_datasets``), so every model of
+a track is searched on one set of fold pipelines.
 
 Seed derivations (everything flows from cfg.seed unless noted):
   split                     cfg.seed
@@ -36,7 +38,6 @@ import itertools
 import json
 import logging
 import os
-from copy import deepcopy
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -54,18 +55,6 @@ logger = logging.getLogger(__name__)
 
 TRACKS = ("imbalanced", "balanced")
 
-# Report order matches the result-table convention: RF, SVC, KNN, MLP, XGB.
-MODEL_SEQUENCE = ("RF", "SVC", "KNN", "MLP", "GBT")
-DISPLAY_NAMES = {"RF": "rf", "SVC": "svc", "KNN": "knn", "MLP": "mlp", "GBT": "xgb"}
-
-DEFAULT_GRIDS = {
-    "RF": {"n_trees": (50, 100)},
-    "GBT": {"rounds": (50, 100), "learning_rate": (0.1, 0.3)},
-    "KNN": {"k": (3, 5, 7)},
-    "MLP": {"learning_rate": (0.01, 0.001)},
-    "SVC": {"reg_lambda": (1e-3, 1e-4)},
-}
-
 _RANKING_TREES = 25  # forest size used only for impurity-based feature ranking
 
 
@@ -75,8 +64,8 @@ class ExperimentConfig:
     cv_folds: int = 5
     seed: int = 0
     tracks: tuple = TRACKS
-    models: tuple = MODEL_SEQUENCE
-    grids: dict = field(default_factory=lambda: deepcopy(DEFAULT_GRIDS))
+    models: tuple = clf.MODEL_KINDS
+    grids: dict = field(default_factory=dict)  # per kind; learner default if absent
     smote: SmoteConfig = SmoteConfig()
     lof: LofConfig = LofConfig()
     select_top_m: int | None = None
@@ -95,12 +84,16 @@ class ExperimentConfig:
             raise ValueError("at least one track must be enabled")
         if not self.models:
             raise ValueError("at least one model must be enabled")
-        for kind in self.models:
-            if kind not in MODEL_SEQUENCE:
-                raise ValueError(f"unknown model kind {kind!r}")
+        if len(set(self.models)) < len(self.models):
+            raise ValueError(f"models {self.models} name a kind more than once")
+        for kind, grid in self.grids.items():
+            unknown = [p for p in grid if p not in clf.learner(kind).defaults]
+            if unknown:
+                raise ValueError(f"grid for {kind} names unknown hyperparameters "
+                                 f"{unknown}")
         grids = {}
         for kind in self.models:
-            grid = self.grids.get(kind, DEFAULT_GRIDS[kind])
+            grid = self.grids.get(kind, clf.learner(kind).default_grid)
             grids[kind] = {p: tuple(vals) for p, vals in grid.items()}
             for p, vals in grids[kind].items():
                 if not vals:
@@ -178,8 +171,8 @@ class ExperimentReport:
 class PipelineState:
     scaler: Scaler
     selected: tuple | None  # column indices kept by feature selection
-    smote_added: int
-    lof_removed: int
+    smote_added: int = 0
+    lof_removed: int = 0
 
 
 def _select_columns(ds: Dataset, indices) -> Dataset:
@@ -279,7 +272,7 @@ def _cross_validate(specs, fold_datasets) -> list:
     staged value among the specs; every spec is scored from its staged
     predictions on the fold's training and held-out parts.
     """
-    stage = clf.staged_hyperparameter(specs[0].kind)
+    stage = specs[0].learner.staged_hyperparameter
     values = [s.hyperparameters[stage] if stage else None for s in specs]
     top = specs[values.index(max(values))] if stage else specs[0]
     per_spec = [[] for _ in specs]
@@ -295,20 +288,12 @@ def _cross_validate(specs, fold_datasets) -> list:
             for results in per_spec]
 
 
-def kfold_cv(spec, train: Dataset | None = None, folds: int = 5, seed: int = 0,
-             *, fold_datasets=None, smote_cfg=None, lof_cfg=None) -> CvResult:
+def kfold_cv(spec, fold_datasets) -> CvResult:
     """Stratified k-fold cross-validation accuracy for one model spec.
 
     The fold-f model trains under seed spec.seed + f on the fold's processed
-    training part and is scored on the held-out part. When prebuilt
-    ``fold_datasets`` are not supplied they are constructed from ``train``
-    with per-fold preprocessing (scaler always; SMOTE/LOF when configured).
+    training part and is scored on the held-out part.
     """
-    if fold_datasets is None:
-        if train is None:
-            raise ValueError("kfold_cv needs either train data or fold_datasets")
-        fold_datasets = build_fold_datasets(train, folds, seed,
-                                            smote_cfg=smote_cfg, lof_cfg=lof_cfg)
     return _cross_validate([spec], fold_datasets)[0]
 
 
@@ -335,9 +320,8 @@ def _stage_groups(points, stage) -> list:
     return [members for _, members in groups]
 
 
-def grid_search(kind: str, grid: dict, train: Dataset | None = None,
-                folds: int = 5, seed: int = 0, *, fold_datasets=None,
-                smote_cfg=None, lof_cfg=None) -> GridSearchOutcome:
+def grid_search(kind: str, grid: dict, fold_datasets,
+                seed: int = 0) -> GridSearchOutcome:
     """Exhaustive grid evaluation by CV accuracy.
 
     Highest mean validation accuracy wins; exact ties keep the combination
@@ -347,11 +331,6 @@ def grid_search(kind: str, grid: dict, train: Dataset | None = None,
     Points that differ only in the staged hyperparameter share their fits
     (see the module docstring); the outcome is the same as fitting each.
     """
-    if fold_datasets is None:
-        if train is None:
-            raise ValueError("grid_search needs either train data or fold_datasets")
-        fold_datasets = build_fold_datasets(train, folds, seed,
-                                            smote_cfg=smote_cfg, lof_cfg=lof_cfg)
     points = expand_grid(grid)
     specs = [clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
              for params in points]
@@ -368,7 +347,7 @@ def grid_search(kind: str, grid: dict, train: Dataset | None = None,
             return [str(exc)]
 
     results = [None] * len(points)
-    for members in _stage_groups(points, clf.staged_hyperparameter(kind)):
+    for members in _stage_groups(points, clf.learner(kind).staged_hyperparameter):
         for i, result in zip(members, cross_validate(members)):
             results[i] = result
     best = None
@@ -419,7 +398,7 @@ def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackRepor
         test_report, roc = evaluate_predictions(proc_test.y, test_pred.labels,
                                                 test_pred.probabilities)
         models.append(ModelResult(
-            name=DISPLAY_NAMES[kind], kind=kind,
+            name=model.report_name, kind=kind,
             hyperparameters=dict(final_spec.hyperparameters),
             training_accuracy=training_accuracy,
             mean_cv_accuracy=outcome.mean_cv_accuracy,
@@ -490,8 +469,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "cv_folds": cfg.cv_folds,
         "seed": cfg.seed,
         "tracks": list(cfg.tracks),
-        "models": [DISPLAY_NAMES[k] for k in cfg.models],
-        "grids": {DISPLAY_NAMES[k]: {p: list(v) for p, v in grid.items()}
+        "models": [clf.learner(k).report_name for k in cfg.models],
+        "grids": {clf.learner(k).report_name: {p: list(v) for p, v in grid.items()}
                   for k, grid in cfg.grids.items()},
         "smote": {"k_neighbors": cfg.smote.k_neighbors,
                   "target_ratio": cfg.smote.target_ratio, "seed": cfg.smote.seed},

@@ -16,7 +16,6 @@ import flowguard as fg
 from flowguard.classifiers import gradient_check, make_spec, predict, train
 from flowguard.dataset import content_hash, load_csv, stratified_split
 from flowguard.experiment import (
-    DEFAULT_GRIDS,
     ExperimentConfig,
     fit_track_pipeline,
     run_full_experiment,

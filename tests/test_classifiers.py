@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from flowguard.classifiers import (
-    DEFAULT_HYPERPARAMETERS,
     MODEL_KINDS,
     gradient_check,
+    learner,
     load_model,
     make_spec,
     predict,
@@ -50,7 +50,7 @@ def test_spec_validation():
     spec = make_spec("RF", seed=3, n_trees=7)
     assert spec.hyperparameters["n_trees"] == 7
     # unspecified keys fall back to defaults
-    assert spec.hyperparameters["bootstrap"] is DEFAULT_HYPERPARAMETERS["RF"]["bootstrap"]
+    assert spec.hyperparameters["bootstrap"] is learner("RF").defaults["bootstrap"]
 
 
 def test_train_input_validation():

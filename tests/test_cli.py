@@ -258,6 +258,18 @@ def test_config_file_with_flag_override(corpus, tmp_path, capsys):
     assert [t["track"] for t in report["tracks"]] == ["imbalanced"]
 
 
+def test_run_without_settings_uses_config_defaults(corpus, tmp_path, capsys):
+    from flowguard.experiment import ExperimentConfig, config_to_dict
+
+    out_dir = tmp_path / "out"
+    assert main(["run", "--data", str(corpus), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    report = json.loads((out_dir / "report.json").read_text())
+    # compared as JSON text, so 1 and 1.0 differ
+    assert (json.dumps(report["config"]) ==
+            json.dumps(config_to_dict(ExperimentConfig())))
+
+
 def test_config_rejects_unknown_keys(corpus, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"folds": 3}))

@@ -12,9 +12,7 @@ from flowguard.dataset import (
     encode_categoricals,
     impute_missing,
     label_distribution,
-    load_category_maps,
     load_csv,
-    save_category_maps,
     stratified_fold_indices,
     stratified_split,
 )
@@ -135,13 +133,6 @@ def test_apply_category_maps_unseen_token():
     ds = Dataset(feature_names=("proto",), X=X, y=np.array([0, 1]))
     out = apply_category_maps(ds, maps)
     assert np.array_equal(out.X[:, 0], [2.0, 0.0])
-
-
-def test_category_maps_round_trip(tmp_path):
-    maps = {"proto": ("tcp", "udp", "icmp"), "flag": ("S", "SA")}
-    path = tmp_path / "maps.json"
-    save_category_maps(maps, path)
-    assert load_category_maps(path) == maps
 
 
 def test_encode_requires_imputation_first():

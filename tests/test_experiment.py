@@ -7,8 +7,6 @@ import pytest
 
 from flowguard.dataset import Dataset, content_hash, stratified_split
 from flowguard.experiment import (
-    DEFAULT_GRIDS,
-    MODEL_SEQUENCE,
     ExperimentConfig,
     build_fold_datasets,
     expand_grid,
@@ -19,7 +17,7 @@ from flowguard.experiment import (
     report_to_json,
     write_report_files,
 )
-from flowguard.classifiers import make_spec
+from flowguard.classifiers import LEARNERS, make_spec
 from flowguard.preprocess import LofConfig, SmoteConfig
 from flowguard.synth import SynthConfig, generate
 
@@ -51,21 +49,34 @@ def test_config_validation():
         ExperimentConfig(models=("RF",), grids={"RF": {"n_trees": ()}})
     with pytest.raises(ValueError):
         ExperimentConfig(select_top_m=0)
+    # a grid for a kind that does not exist, for a hyperparameter the
+    # learner lacks, and a kind enabled twice
+    with pytest.raises(ValueError, match="unknown model kind 'XGB'"):
+        ExperimentConfig(models=("GBT",), grids={"XGB": {"rounds": (5,)}})
+    with pytest.raises(ValueError, match="n_tree"):
+        ExperimentConfig(models=("RF",), grids={"RF": {"n_tree": (5,)}})
+    with pytest.raises(ValueError, match="more than once"):
+        ExperimentConfig(models=("RF", "RF"))
     cfg = ExperimentConfig(models=["RF"], grids={"RF": {"n_trees": [5, 9]}})
     assert cfg.grids["RF"]["n_trees"] == (5, 9)
 
 
 def test_default_grids_cover_every_model():
-    assert set(DEFAULT_GRIDS) == set(MODEL_SEQUENCE)
+    for learner in LEARNERS:
+        assert learner.default_grid, learner.kind
+        assert all(learner.default_grid.values()), learner.kind
     cfg = ExperimentConfig()
-    for kind in MODEL_SEQUENCE:
-        assert cfg.grids[kind]
+    assert cfg.models == ("RF", "SVC", "KNN", "MLP", "GBT")
+    assert cfg.models == tuple(learner.kind for learner in LEARNERS)
+    for learner in LEARNERS:
+        assert cfg.grids[learner.kind] == learner.default_grid
 
 
 def test_kfold_mean_is_arithmetic_mean():
     ds = small_data()
     split = stratified_split(ds, 0.8, seed=0)
-    cv = kfold_cv(make_spec("KNN", k=3), split.train, folds=3, seed=0)
+    cv = kfold_cv(make_spec("KNN", k=3),
+                  fold_datasets=build_fold_datasets(split.train, 3, seed=0))
     assert len(cv.folds) == 3
     vals = [f.validation_accuracy for f in cv.folds]
     assert cv.mean_accuracy == sum(vals) / 3
@@ -77,8 +88,10 @@ def test_kfold_mean_is_arithmetic_mean():
 def test_kfold_is_deterministic():
     ds = small_data()
     split = stratified_split(ds, 0.8, seed=0)
-    a = kfold_cv(make_spec("RF", n_trees=5), split.train, folds=3, seed=1)
-    b = kfold_cv(make_spec("RF", n_trees=5), split.train, folds=3, seed=1)
+    a = kfold_cv(make_spec("RF", n_trees=5),
+                 fold_datasets=build_fold_datasets(split.train, 3, seed=1))
+    b = kfold_cv(make_spec("RF", n_trees=5),
+                 fold_datasets=build_fold_datasets(split.train, 3, seed=1))
     assert a == b
 
 
@@ -92,7 +105,8 @@ def test_grid_search_tie_keeps_first_listed():
     # both k values reach identical CV accuracy on cleanly separable data
     ds = small_data(n_benign=75, n_ddos=75)
     split = stratified_split(ds, 0.8, seed=0)
-    out = grid_search("KNN", {"k": (5, 3)}, split.train, folds=3, seed=0)
+    folds = build_fold_datasets(split.train, 3, seed=0)
+    out = grid_search("KNN", {"k": (5, 3)}, fold_datasets=folds, seed=0)
     accs = [p.mean_cv_accuracy for p in out.trace]
     assert accs[0] == accs[1] == 1.0
     assert out.best_spec.hyperparameters["k"] == 5
@@ -101,12 +115,13 @@ def test_grid_search_tie_keeps_first_listed():
 def test_grid_search_skips_failing_combinations():
     ds = small_data(n_benign=40, n_ddos=40)
     split = stratified_split(ds, 0.8, seed=0)
-    out = grid_search("KNN", {"k": (5000, 3)}, split.train, folds=3, seed=0)
+    folds = build_fold_datasets(split.train, 3, seed=0)
+    out = grid_search("KNN", {"k": (5000, 3)}, fold_datasets=folds, seed=0)
     assert out.trace[0].error is not None
     assert out.trace[0].mean_cv_accuracy is None
     assert out.best_spec.hyperparameters["k"] == 3
     with pytest.raises(ValueError, match="every grid combination failed"):
-        grid_search("KNN", {"k": (5000, 9000)}, split.train, folds=3, seed=0)
+        grid_search("KNN", {"k": (5000, 9000)}, fold_datasets=folds, seed=0)
 
 
 def test_grid_search_skips_only_value_errors(monkeypatch):
@@ -114,6 +129,7 @@ def test_grid_search_skips_only_value_errors(monkeypatch):
 
     ds = small_data(n_benign=40, n_ddos=40)
     split = stratified_split(ds, 0.8, seed=0)
+    folds = build_fold_datasets(split.train, 3, seed=0)
     fit = KnnModel.fit.__func__
 
     def failing_fit(exc_type):
@@ -125,7 +141,7 @@ def test_grid_search_skips_only_value_errors(monkeypatch):
 
     # ValueError: this combination cannot train, so it is skipped
     monkeypatch.setattr(KnnModel, "fit", failing_fit(ValueError))
-    out = grid_search("KNN", {"k": (5, 3)}, split.train, folds=3, seed=0)
+    out = grid_search("KNN", {"k": (5, 3)}, fold_datasets=folds, seed=0)
     assert out.trace[0].error == "learner fault"
     assert out.trace[0].mean_cv_accuracy is None
     assert out.best_spec.hyperparameters["k"] == 3
@@ -133,7 +149,7 @@ def test_grid_search_skips_only_value_errors(monkeypatch):
     # any other exception is a bug in the code and must surface
     monkeypatch.setattr(KnnModel, "fit", failing_fit(TypeError))
     with pytest.raises(TypeError, match="learner fault"):
-        grid_search("KNN", {"k": (5, 3)}, split.train, folds=3, seed=0)
+        grid_search("KNN", {"k": (5, 3)}, fold_datasets=folds, seed=0)
 
 
 def test_fold_preprocessing_refits_inside_each_fold():

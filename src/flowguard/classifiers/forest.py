@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from .base import TrainedModel, thresholded
-from .tree import TreeNodes, build_gini_tree, tree_apply
+from .tree import (TreeNodes, build_gini_tree, presort_sample, tree_apply,
+                   value_ranks)
 
 
 class RandomForestModel(TrainedModel):
@@ -44,6 +45,7 @@ class RandomForestModel(TrainedModel):
         n, d = X.shape
         n_candidates = max(1, int(math.sqrt(d)))
         importance = np.zeros(d, dtype=np.float64)
+        ranks = value_ranks(X)  # each tree presorts its sample from these
         trees = []
         for t in range(hp["n_trees"]):
             rng = np.random.default_rng(spec.seed + t)
@@ -55,7 +57,8 @@ class RandomForestModel(TrainedModel):
                                          max_depth=hp["max_depth"],
                                          min_samples_split=hp["min_samples_split"],
                                          n_candidate_features=n_candidates,
-                                         rng=rng, importance=importance))
+                                         rng=rng, importance=importance,
+                                         order=presort_sample(ranks, sample)))
         importance /= hp["n_trees"]
         return cls(spec, d, trees, importance)
 

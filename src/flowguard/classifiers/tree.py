@@ -73,13 +73,35 @@ class _TreeBuilder:
                          value=np.array(self.value, dtype=np.float64))
 
 
+def value_ranks(X) -> np.ndarray:
+    """Dense rank of every value within its column: a (d, n) int64 array.
+
+    Equal values share a rank, so ranks order rows as the values do.
+    """
+    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.int64)
+    for f in range(X.shape[1]):
+        ranks[f] = np.unique(X[:, f], return_inverse=True)[1]
+    return ranks
+
+
+def presort_sample(ranks, sample) -> np.ndarray:
+    """``presort(X[sample])`` from ``ranks = value_ranks(X)``.
+
+    The key rank * n + position is unique within a column, so the default
+    sort puts equal values in ascending position order, as a stable sort
+    of the values would, and faster.
+    """
+    n = len(sample)
+    return np.argsort(ranks[:, sample] * n + np.arange(n), axis=1)
+
+
 def presort(X) -> np.ndarray:
     """Row order of every column, stably sorted: a (d, n) int64 array.
 
     Row f lists the rows of ``X`` by ascending ``X[:, f]``, equal values in
     ascending row order.
     """
-    return np.argsort(X.T, axis=1, kind="stable")
+    return presort_sample(value_ranks(X), np.arange(X.shape[0]))
 
 
 def _best_split(X, rows, cand, gain):
@@ -136,7 +158,7 @@ def _grow(X, order, split_node) -> TreeNodes:
 
 
 def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
-                    rng, importance=None) -> TreeNodes:
+                    rng, importance=None, order=None) -> TreeNodes:
     """Greedy CART classification tree minimizing Gini impurity.
 
     ``n_candidate_features`` features are sampled per node without
@@ -144,7 +166,8 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
     widens to all features before giving up, so rows that differ anywhere
     can always be separated. Leaf value is the node's positive fraction.
     ``importance`` (length-d array, optional) accumulates per-feature
-    impurity decrease weighted by node fraction.
+    impurity decrease weighted by node fraction. ``order`` is
+    ``presort(X)``, computed here when not given.
     """
     n, d = X.shape
     everything = np.arange(d)
@@ -184,7 +207,7 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
             importance[f] += dec * (n_node / n)
         return p, (f, thr)
 
-    return _grow(X, presort(X), split_node)
+    return _grow(X, presort(X) if order is None else order, split_node)
 
 
 def build_newton_tree(X, g, h, max_depth, reg_lambda, order) -> TreeNodes:

@@ -91,10 +91,21 @@ def _load_config_file(path):
             _fail("config", ValueError(f"unknown config key {key!r}"))
         if value is not None:
             try:
-                out[key] = _CONFIG_KEYS[key](value)
+                out[key] = _config_value(_CONFIG_KEYS[key], value)
             except (TypeError, ValueError) as exc:
                 _fail("config", ValueError(f"bad value for {key!r}: {exc}"))
     return out
+
+
+def _config_value(kind, value):
+    """``kind(value)``, refusing what the conversion would silently change."""
+    if kind is str and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _build_experiment_config(args):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .distance import nearest
+from .distance import distinct_neighbors, nearest
 
 # Substitute reachability density for duplicate-heavy neighborhoods whose
 # mean reachability distance is exactly zero.
@@ -180,26 +180,38 @@ def lof_scores(ds: Dataset, k_neighbors: int) -> np.ndarray:
     Scores near 1 mean inlier.
 
     Only the k-distance neighborhoods are needed (Breunig et al., 2000), so
-    one exact nearest-neighbor pass finds them all; k-distances, densities
-    and scores are then read off those lists, with no further pass over all
-    row pairs.
+    one exact nearest-neighbor pass finds them all. Identical rows share
+    them: ``distinct_neighbors`` gives each distinct row one list in
+    (distance, row index) order, its own copies included at distance 0.
+    Leaving out one copy gives the neighborhood of every copy as the same
+    sequence of values, so the k-distance, density and score of a distinct
+    row are computed once, summed in that order, and copied to its
+    duplicates. A group of g identical rows thus costs O(g) memory, not
+    g (g - 1) list entries. (Copies would see different sequences only if
+    two distinct rows lay so close that their squared distance underflowed
+    to 0, below about 1e-154 in every coordinate.)
     """
     _require_numeric(ds, "lof_scores")
     n = ds.n_rows
     if not 0 < k_neighbors < n:
         raise ValueError(f"k_neighbors must lie in [1, {n - 1}], got {k_neighbors}")
-    # One pass finds every row's tie-inclusive neighborhood, sorted by
-    # distance; its last member sits at the k-distance.
-    nb = nearest(ds.X, ds.X, k_neighbors, exclude_self=True, ties=True)
-    count = np.diff(nb.offsets)
-    owner = np.repeat(np.arange(n), count)
+    # One pass finds every distinct row's tie-inclusive neighborhood, sorted
+    # by distance; its last member sits at the k-distance.
+    nb = distinct_neighbors(ds.X, ds.X, k_neighbors, exclude_self=True, ties=True)
+    size = np.diff(nb.offsets)
+    rows = size.size
     kd2 = nb.sq_dist[nb.offsets[1:] - 1]
-    reach = np.sqrt(np.maximum(nb.sq_dist, kd2[nb.index]))
-    mean_reach = np.bincount(owner, weights=reach, minlength=n) / count
+    owner = np.repeat(np.arange(rows), size)
+    # The first copy of each row leaves its own list.
+    other = nb.index != nb.first[owner]
+    owner, group, sq_dist = owner[other], nb.inverse[nb.index[other]], nb.sq_dist[other]
+    count = size - 1
+    reach = np.sqrt(np.maximum(sq_dist, kd2[group]))
+    mean_reach = np.bincount(owner, weights=reach, minlength=rows) / count
     with np.errstate(divide="ignore"):
         lrd = np.where(mean_reach == 0.0, 1.0 / LOF_DENSITY_EPS, 1.0 / mean_reach)
-    neighbor_lrd = np.bincount(owner, weights=lrd[nb.index], minlength=n)
-    return neighbor_lrd / count / lrd
+    neighbor_lrd = np.bincount(owner, weights=lrd[group], minlength=rows)
+    return (neighbor_lrd / count / lrd)[nb.inverse]
 
 
 def remove_outliers(train: Dataset, cfg: LofConfig) -> OutlierRemoval:

@@ -8,8 +8,10 @@ numpy paths is therefore meaningful evidence, not a tautology.
 The tree builders are the exception: they are the per-node, per-feature
 sorting search that the presorted split kernel replaced, kept as they
 were so that trees can be compared bit for bit. So are the per-point grid
-search, which trains every grid point in every fold, and the
-``--save-models`` writer that retrains every final model to save it.
+search, which trains every grid point in every fold, the
+``--save-models`` writer that retrains every final model to save it, and
+the row-wise LOF, which keeps a neighbour list for every row, copies of a
+row included.
 """
 
 import math
@@ -19,11 +21,12 @@ import numpy as np
 
 from flowguard import classifiers as clf
 from flowguard.classifiers.tree import TreeNodes, _TreeBuilder
-from flowguard.dataset import stratified_split
+from flowguard.dataset import Dataset, stratified_split
+from flowguard.distance import nearest
 from flowguard.experiment import (CvResult, FoldResult, GridPoint,
                                   GridSearchOutcome, _accuracy, expand_grid,
                                   fit_track_pipeline)
-from flowguard.preprocess import scaler_to_dict
+from flowguard.preprocess import LOF_DENSITY_EPS, _require_numeric, scaler_to_dict
 
 
 def confusion_counts(y_true, y_pred):
@@ -122,6 +125,40 @@ def lof_brute(X, k, eps=1e-10):
         ratio = sum(lrd[j] for j in neighbors[i]) / len(neighbors[i])
         scores.append(ratio / lrd[i])
     return scores
+
+
+def lof_scores_rowwise(ds: Dataset, k_neighbors: int) -> np.ndarray:
+    """Classic local outlier factor for every row.
+
+    k-distance(p) is the distance to p's k-th nearest other row; the
+    neighborhood is every other row within that distance (ties included, so
+    it can exceed k). reach-dist(p, o) = max(k-distance(o), d(p, o)); local
+    reachability density is the inverse mean reach distance, substituting
+    1/LOF_DENSITY_EPS when that mean is exactly zero (duplicate-heavy data);
+    the score is the mean ratio of neighbor densities to own density.
+    Scores near 1 mean inlier.
+
+    Only the k-distance neighborhoods are needed (Breunig et al., 2000), so
+    one exact nearest-neighbor pass finds them all; k-distances, densities
+    and scores are then read off those lists, with no further pass over all
+    row pairs.
+    """
+    _require_numeric(ds, "lof_scores")
+    n = ds.n_rows
+    if not 0 < k_neighbors < n:
+        raise ValueError(f"k_neighbors must lie in [1, {n - 1}], got {k_neighbors}")
+    # One pass finds every row's tie-inclusive neighborhood, sorted by
+    # distance; its last member sits at the k-distance.
+    nb = nearest(ds.X, ds.X, k_neighbors, exclude_self=True, ties=True)
+    count = np.diff(nb.offsets)
+    owner = np.repeat(np.arange(n), count)
+    kd2 = nb.sq_dist[nb.offsets[1:] - 1]
+    reach = np.sqrt(np.maximum(nb.sq_dist, kd2[nb.index]))
+    mean_reach = np.bincount(owner, weights=reach, minlength=n) / count
+    with np.errstate(divide="ignore"):
+        lrd = np.where(mean_reach == 0.0, 1.0 / LOF_DENSITY_EPS, 1.0 / mean_reach)
+    neighbor_lrd = np.bincount(owner, weights=lrd[nb.index], minlength=n)
+    return neighbor_lrd / count / lrd
 
 
 def knn_predict_brute(train_X, train_y, query, k):

@@ -278,6 +278,38 @@ def test_config_rejects_unknown_keys(corpus, tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cv_folds", 3.9),        # int() would truncate to 3
+    ("seed", True),           # int() would read 1
+    ("smote_k_neighbors", 2.5),
+    ("lof_threshold", False),  # float() would read 0.0
+    ("split_ratio", True),
+    ("tracks", 3),
+    ("tracks", ["imbalanced"]),
+])
+def test_config_rejects_values_a_conversion_would_change(corpus, tmp_path, capsys,
+                                                        key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    assert main(["run", "--data", str(corpus), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_integral_numbers(tmp_path):
+    from flowguard.cli import _load_config_file
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"cv_folds": 3.0, "seed": 7, "split_ratio": 1,
+                                    "lof_threshold": 1.5, "tracks": "balanced"}))
+    got = _load_config_file(cfg_path)
+    assert got == {"cv_folds": 3, "seed": 7, "split_ratio": 1.0,
+                   "lof_threshold": 1.5, "tracks": "balanced"}
+    assert type(got["cv_folds"]) is int and type(got["split_ratio"]) is float
+
+
 def test_bad_synth_spec_fails(capsys):
     assert main(["run", "--synth", "bogus", "--out", "x"]) == 1
     assert "error[load]" in capsys.readouterr().err

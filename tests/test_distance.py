@@ -6,6 +6,7 @@ for bit: the same neighbour rows, in the same order, at the same squared
 distances.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from flowguard.dataset import Dataset  # noqa: E402
 from flowguard.distance import nearest, sq_dists  # noqa: E402
 from flowguard.preprocess import (LOF_DENSITY_EPS, SmoteConfig,  # noqa: E402
                                   lof_scores, smote_oversample)
+from oracles import lof_scores_rowwise  # noqa: E402
 
 LAYOUTS = ("normal", "grid", "duplicates", "offset", "byte_counts")
 
@@ -183,3 +185,74 @@ def test_smote_output_starts_with_the_original_rows(case):
     assert out.X[:ds.n_rows].tobytes() == ds.X.tobytes()
     assert np.array_equal(out.y[:ds.n_rows], ds.y)
     assert np.all(out.y[ds.n_rows:] == 1)
+
+
+@st.composite
+def repeated_rows(draw, max_rows=300):
+    """Rows made of a few distinct rows, each repeated 1 to 50 times.
+
+    The distinct rows sit on a small grid, so different groups often lie at
+    equal distances; some zero coordinates of some copies are -0.0, which
+    makes byte-distinct rows that are equal in value; labels are drawn per
+    copy, so copies of one row can disagree.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    copies = draw(st.lists(st.integers(1, 50), min_size=1, max_size=8))
+    base = rng.integers(-1, 2, size=(len(copies), d)) * draw(st.sampled_from((1.0, 0.5, 1e9)))
+    X = np.repeat(base, copies, axis=0)[:max_rows]
+    if draw(st.booleans()):
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
+    order = rng.permutation(X.shape[0])
+    return X[order], rng.integers(0, 2, size=X.shape[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_rows(), st.data())
+def test_nearest_matches_dense_oracle_on_repeated_rows(rows, data):
+    R, _ = rows
+    exclude_self, ties = data.draw(st.booleans()), data.draw(st.booleans())
+    if exclude_self:
+        Q = R
+    else:  # copies of reference rows, in any order and number
+        picks = data.draw(st.lists(st.integers(0, R.shape[0] - 1), max_size=60))
+        Q = R[np.array(picks, dtype=np.int64)]
+    available = R.shape[0] - exclude_self
+    if available < 1:
+        return
+    k = data.draw(st.integers(1, available))
+    with mock.patch.object(distance, "_BLOCK_CELLS", data.draw(st.integers(1, 400))):
+        got = nearest(Q, R, k, exclude_self=exclude_self, ties=ties)
+    offsets, index, dists = dense_neighbors(Q, R, k, exclude_self, ties)
+    assert got.offsets.tobytes() == offsets.astype(np.int64).tobytes()
+    assert got.index.tobytes() == index.astype(np.int64).tobytes()
+    assert got.sq_dist.tobytes() == dists.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_rows(), st.data())
+def test_lof_is_bit_identical_to_the_row_wise_reference(rows, data):
+    X, y = rows
+    if X.shape[0] < 2:
+        return
+    k = data.draw(st.integers(1, X.shape[0] - 1))
+    ds = as_dataset(X, y)
+    assert lof_scores(ds, k).tobytes() == lof_scores_rowwise(ds, k).tobytes()
+
+
+def test_lof_on_identical_rows_keeps_one_list():
+    X = np.tile(np.random.default_rng(4).standard_normal(22), (3000, 1))
+    tracemalloc.start()
+    try:
+        scores = lof_scores(as_dataset(X), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.tobytes() == np.ones(3000).tobytes()
+    assert peak < 20e6
+
+
+def test_exclude_self_needs_the_same_rows():
+    X = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ValueError, match="exclude_self"):
+        nearest(X, X[::-1], 1, exclude_self=True)

@@ -15,8 +15,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from flowguard import classifiers as clf  # noqa: E402
 from flowguard.classifiers.tree import (build_gini_tree,  # noqa: E402
-                                        build_newton_tree, presort)
+                                        build_newton_tree, presort,
+                                        presort_sample, value_ranks)
+from flowguard.dataset import Dataset  # noqa: E402
 from oracles import gini_tree_brute, newton_tree_brute  # noqa: E402
 
 LAYOUTS = ("normal", "grid", "duplicates")
@@ -130,3 +133,36 @@ def test_presort_orders_columns_stably():
     rows = np.arange(2000)
     want = [np.lexsort((rows, X[:, f])) for f in range(3)]
     assert np.array_equal(presort(X), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_cases(), st.booleans())
+def test_presort_sample_matches_a_stable_sort_of_the_sample(case, signed_zeros):
+    X, _, rng = case
+    if signed_zeros:  # -0.0 and 0.0 are equal values with different bytes
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
+    sample = rng.integers(0, X.shape[0], size=X.shape[0])
+    want = np.argsort(X[sample].T, axis=1, kind="stable")
+    assert presort_sample(value_ranks(X), sample).tobytes() == want.tobytes()
+
+
+def test_presort_sample_keeps_nan_last_in_position_order():
+    X = np.array([[np.nan], [1.0], [np.nan], [0.0], [1.0]])
+    sample = np.array([2, 4, 0, 1, 3, 2])
+    want = np.argsort(X[sample].T, axis=1, kind="stable")
+    assert presort_sample(value_ranks(X), sample).tolist() == want.tolist()
+
+
+def test_forest_trees_match_oracle_on_their_bootstrap_samples():
+    rng = np.random.default_rng(8)
+    X = make_rows(rng, 120, 4, "grid")
+    y = (X[:, 0] + rng.standard_normal(120) > 1).astype(np.int64)
+    spec = clf.make_spec("RF", seed=3, n_trees=4)
+    model = clf.train(spec, Dataset(feature_names=("a", "b", "c", "d"), X=X, y=y))
+    importance = np.zeros(4)
+    for t, tree in enumerate(model.trees):
+        tree_rng = np.random.default_rng(spec.seed + t)
+        sample = tree_rng.integers(0, 120, size=120)
+        assert_same_tree(tree, gini_tree_brute(X[sample], y[sample], None, 2, 2,
+                                               tree_rng, importance))
+    assert model.feature_importance.tobytes() == (importance / 4).tobytes()

@@ -13,6 +13,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -112,13 +113,71 @@ def _is_missing(cell: str) -> bool:
     return cell.strip().lower() in MISSING_TOKENS
 
 
+def _read_rows(reader):
+    """Every remaining row of ``reader``, and the read error that ended it.
+
+    The error is handed back, not raised, so that a bad row read before it is
+    still reported first, as by a loader that checks each row as it reads it.
+    """
+    rows = []
+    try:
+        rows.extend(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        return rows, exc
+    return rows, None
+
+
+def _parse_labels(cells) -> np.ndarray:
+    """0/1 labels of one column; LoadError names the first bad row."""
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = None
+    if values is None or not np.all((values == 0.0) | (values == 1.0)):
+        for row_no, cell in enumerate(cells, start=1):
+            try:
+                val = float(cell)
+            except ValueError:
+                raise LoadError(f"row {row_no}: label {cell!r} is not a number") from None
+            if val not in (0.0, 1.0):
+                raise LoadError(f"row {row_no}: label {cell!r} outside {{0, 1}}")
+    return values.astype(np.int64)
+
+
+def _parse_column(cells):
+    """Type one CSV column: (float64 values, None) if numeric, else (None, cells).
+
+    A numeric column holds NaN at its gaps and non-finite values; a
+    categorical one is an object array of its strings, None at its gaps.
+    """
+    n = len(cells)
+    try:
+        # float() accepts the "nan" spellings of MISSING_TOKENS; every other
+        # token makes it fail, so only such a column is searched for gaps.
+        values = np.fromiter(map(float, cells), np.float64, n)
+    except ValueError:
+        gap_tokens = {tok for tok in set(cells) if _is_missing(tok)}
+        gaps = np.fromiter(map(gap_tokens.__contains__, cells), bool, n)
+        present = [cell for cell in cells if cell not in gap_tokens]
+        try:
+            parsed = np.fromiter(map(float, present), np.float64, len(present))
+        except ValueError:
+            column = np.array(cells, dtype=object)
+            column[gaps] = None
+            return None, column
+        values = np.full(n, np.nan)
+        values[~gaps] = parsed
+    values[~np.isfinite(values)] = np.nan  # a gap, filled by imputation
+    return values, None
+
+
 def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     """Read a header-mandatory UTF-8 CSV into a Dataset.
 
-    Columns are typed numeric when every non-missing value parses as a finite
-    number, categorical otherwise. Label values must be 0 or 1; violations
-    raise LoadError naming the offending data row (1-based, excluding the
-    header).
+    Columns are typed numeric when every non-missing value parses as a number
+    (non-finite ones become gaps), categorical otherwise. Label values must be
+    0 or 1; violations raise LoadError naming the offending data row (1-based,
+    excluding the header).
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -135,70 +194,53 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
             raise LoadError(f"duplicate column name(s) in header: {sorted(dupes)}")
         if label_column not in header:
             raise LoadError(f"label column {label_column!r} not found in header {header}")
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+        rows, read_error = _read_rows(reader)
 
-        rows = []
-        labels = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise LoadError(
-                    f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-            cell = row[label_idx]
-            try:
-                val = float(cell)
-            except ValueError:
-                raise LoadError(f"row {row_no}: label {cell!r} is not a number") from None
-            if val not in (0.0, 1.0):
-                raise LoadError(f"row {row_no}: label {cell!r} outside {{0, 1}}")
-            labels.append(int(val))
-            rows.append([c for i, c in enumerate(row) if i != label_idx])
+    width = len(header)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    ragged = np.flatnonzero(lengths != width)
+    n = int(ragged[0]) if ragged.size else len(rows)
+    columns = list(zip(*rows[:n])) or [()] * width
+    del rows  # the columns hold the same cell strings
+    labels = _parse_labels(columns.pop(header.index(label_column)))
+    if ragged.size:
+        raise LoadError(f"row {n + 1}: expected {width} fields, got {lengths[n]}")
+    if read_error is not None:
+        raise read_error
 
-    n, d = len(rows), len(feature_names)
-    # Type each column: numeric iff all non-missing cells parse as finite floats.
-    numeric_cols = []
-    parsed = [[None] * d for _ in range(n)]
-    for j in range(d):
-        numeric = True
-        for i in range(n):
-            cell = rows[i][j]
-            if _is_missing(cell):
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                numeric = False
-                break
-            if not math.isfinite(v):
-                continue  # treated as a gap, filled by imputation
-            parsed[i][j] = v
-        numeric_cols.append(numeric)
-
-    all_numeric = all(numeric_cols)
-    X = np.empty((n, d), dtype=np.float64 if all_numeric else object)
-    for j in range(d):
-        if numeric_cols[j]:
-            for i in range(n):
-                v = parsed[i][j]
-                X[i, j] = np.nan if v is None else v
-        else:
-            for i in range(n):
-                cell = rows[i][j]
-                X[i, j] = None if _is_missing(cell) else cell
-
-    return Dataset(feature_names=feature_names, X=X, y=np.array(labels, dtype=np.int64),
-                   provenance=str(path))
+    parsed = [_parse_column(cells) for cells in columns]
+    all_numeric = all(text is None for _, text in parsed)
+    X = np.empty((n, len(columns)), dtype=np.float64 if all_numeric else object)
+    for j, (values, text) in enumerate(parsed):
+        X[:, j] = values if text is None else text
+    feature_names = tuple(h for h in header if h != label_column)
+    return Dataset(feature_names=feature_names, X=X, y=labels, provenance=str(path))
 
 
-def _column_is_categorical(col) -> bool:
-    return any(isinstance(v, str) for v in col)
+def _scan(column):
+    """Type one column of a raw object matrix: (categorical, gaps, values).
+
+    The column is categorical when any cell is a ``str``. Every other cell is
+    read as a float (None as NaN), and a NaN there is a gap. ``values`` holds
+    those floats, in order, when the column is numeric, else None.
+    """
+    text = [issubclass(t, str) for t in set(map(type, column))]
+    if not any(text):
+        values = column.astype(np.float64)
+        return False, np.isnan(values), values
+    gaps = np.zeros(len(column), dtype=bool)
+    if not all(text):
+        other = ~np.fromiter(map(isinstance, column, repeat(str)), bool, len(column))
+        gaps[other] = np.isnan(column[other].astype(np.float64))
+    return True, gaps, None
 
 
 def impute_missing(ds: Dataset) -> Dataset:
     """Fill gaps: numeric columns by their median, categorical by their mode.
 
-    Mode ties break lexicographically smallest. A column with every value
-    missing cannot be imputed and raises ValueError naming it. Idempotent.
+    Gaps are None and NaN cells. Mode ties break lexicographically smallest.
+    A column with every value missing cannot be imputed and raises ValueError
+    naming it. Idempotent.
     """
     if ds.is_numeric:
         X = np.array(ds.X, dtype=np.float64)
@@ -214,20 +256,19 @@ def impute_missing(ds: Dataset) -> Dataset:
 
     X = np.array(ds.X, dtype=object)
     for j in range(ds.n_features):
-        col = list(X[:, j])
-        present = [v for v in col
-                   if v is not None and not (isinstance(v, float) and math.isnan(v))]
-        if not present:
+        col = X[:, j]
+        categorical, gaps, values = _scan(col)
+        if gaps.all():
             raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
-        if _column_is_categorical(present):
-            counts = Counter(present)
+        if not gaps.any():
+            continue
+        if categorical:
+            counts = Counter(col[~gaps])
             top = max(counts.values())
             fill = min(tok for tok, c in counts.items() if c == top)
         else:
-            fill = float(np.median(np.array(present, dtype=np.float64)))
-        for i, v in enumerate(col):
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                X[i, j] = fill
+            fill = float(np.median(values[~gaps]))
+        col[gaps] = fill
     return ds.replace(X=X)
 
 
@@ -246,23 +287,19 @@ def encode_categoricals(ds: Dataset) -> Dataset:
 
     maps = dict(ds.category_maps)
     X = np.empty(ds.X.shape, dtype=np.float64)
-    for j in range(ds.n_features):
-        col = list(ds.X[:, j])
-        for v in col:
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                raise ValueError("impute missing values before encoding")
-        if _column_is_categorical(col):
-            order = []
-            codes = {}
-            for v in col:
-                tok = str(v)
-                if tok not in codes:
-                    codes[tok] = len(order)
-                    order.append(tok)
-            maps[ds.feature_names[j]] = tuple(order)
-            X[:, j] = [codes[str(v)] for v in col]
+    for j, name in enumerate(ds.feature_names):
+        col = ds.X[:, j]
+        categorical, gaps, values = _scan(col)
+        if gaps.any():
+            raise ValueError("impute missing values before encoding")
+        if categorical:
+            tokens = list(map(str, col.tolist()))
+            order = tuple(dict.fromkeys(tokens))  # distinct, in order of appearance
+            codes = dict(zip(order, range(len(order))))
+            X[:, j] = np.fromiter(map(codes.__getitem__, tokens), np.float64, len(tokens))
+            maps[name] = order
         else:
-            X[:, j] = [float(v) for v in col]
+            X[:, j] = values
     return ds.replace(X=X, category_maps=maps)
 
 
@@ -270,21 +307,28 @@ def apply_category_maps(ds: Dataset, maps: dict) -> Dataset:
     """Encode categorical columns using previously recorded token orders.
 
     Tokens unseen at fit time get code = count of known categories for that
-    column. Columns not named in ``maps`` must already be numeric.
+    column. Columns not named in ``maps`` must already be numeric, and every
+    gap must be imputed first; otherwise ValueError.
     """
     if ds.is_numeric:
+        if np.isnan(ds.X).any():
+            raise ValueError("impute missing values before encoding")
         return ds
+    scans = [_scan(ds.X[:, j]) for j in range(ds.n_features)]
+    for name, (categorical, _, _) in zip(ds.feature_names, scans):
+        if categorical and name not in maps:
+            raise ValueError(f"no category map for categorical column {name!r}")
+    if any(gaps.any() for _, gaps, _ in scans):
+        raise ValueError("impute missing values before encoding")
     X = np.empty(ds.X.shape, dtype=np.float64)
-    for j, name in enumerate(ds.feature_names):
-        col = list(ds.X[:, j])
+    for j, (name, (_, _, values)) in enumerate(zip(ds.feature_names, scans)):
         if name in maps:
-            known = {tok: code for code, tok in enumerate(maps[name])}
-            unseen = len(known)
-            X[:, j] = [known.get(str(v), unseen) for v in col]
+            known = dict(zip(maps[name], range(len(maps[name]))))
+            tokens = map(str, ds.X[:, j].tolist())
+            X[:, j] = np.fromiter(map(known.get, tokens, repeat(len(known))),
+                                  np.float64, ds.n_rows)
         else:
-            if _column_is_categorical(col):
-                raise ValueError(f"no category map for categorical column {name!r}")
-            X[:, j] = [float(v) for v in col]
+            X[:, j] = values
     return ds.replace(X=X, category_maps=dict(maps))
 
 

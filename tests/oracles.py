@@ -11,17 +11,21 @@ were so that trees can be compared bit for bit. So are the per-point grid
 search, which trains every grid point in every fold, the
 ``--save-models`` writer that retrains every final model to save it, and
 the row-wise LOF, which keeps a neighbour list for every row, copies of a
-row included.
+row included, and the CSV loader and category encoders that read, impute
+and encode one cell at a time.
 """
 
+import csv
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from flowguard import classifiers as clf
 from flowguard.classifiers.tree import TreeNodes, _TreeBuilder
-from flowguard.dataset import Dataset, stratified_split
+from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
+                               LoadError, stratified_split)
 from flowguard.distance import nearest
 from flowguard.experiment import (CvResult, FoldResult, GridPoint,
                                   GridSearchOutcome, _accuracy, expand_grid,
@@ -409,3 +413,185 @@ def save_track_models_retrain(report, ds, out_dir, label_column):
             model = clf.train(spec, proc_train)
             path = out_dir / f"model_{m.name}_{track_report.track}.json"
             clf.save_model(model, path, pipeline=pipeline)
+
+
+# --- cell-at-a-time CSV ingest and category encoding -------------------
+
+def _is_missing(cell: str) -> bool:
+    return cell.strip().lower() in MISSING_TOKENS
+
+
+def load_csv_cellwise(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
+    """Read a header-mandatory UTF-8 CSV into a Dataset.
+
+    Columns are typed numeric when every non-missing value parses as a finite
+    number, categorical otherwise. Label values must be 0 or 1; violations
+    raise LoadError naming the offending data row (1-based, excluding the
+    header).
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise LoadError(f"cannot open dataset file {path!r}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise LoadError(f"{path!r} is empty; a header row is mandatory") from None
+        dupes = [name for name, cnt in Counter(header).items() if cnt > 1]
+        if dupes:
+            raise LoadError(f"duplicate column name(s) in header: {sorted(dupes)}")
+        if label_column not in header:
+            raise LoadError(f"label column {label_column!r} not found in header {header}")
+        label_idx = header.index(label_column)
+        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+
+        rows = []
+        labels = []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise LoadError(
+                    f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+            cell = row[label_idx]
+            try:
+                val = float(cell)
+            except ValueError:
+                raise LoadError(f"row {row_no}: label {cell!r} is not a number") from None
+            if val not in (0.0, 1.0):
+                raise LoadError(f"row {row_no}: label {cell!r} outside {{0, 1}}")
+            labels.append(int(val))
+            rows.append([c for i, c in enumerate(row) if i != label_idx])
+
+    n, d = len(rows), len(feature_names)
+    # Type each column: numeric iff all non-missing cells parse as finite floats.
+    numeric_cols = []
+    parsed = [[None] * d for _ in range(n)]
+    for j in range(d):
+        numeric = True
+        for i in range(n):
+            cell = rows[i][j]
+            if _is_missing(cell):
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                numeric = False
+                break
+            if not math.isfinite(v):
+                continue  # treated as a gap, filled by imputation
+            parsed[i][j] = v
+        numeric_cols.append(numeric)
+
+    all_numeric = all(numeric_cols)
+    X = np.empty((n, d), dtype=np.float64 if all_numeric else object)
+    for j in range(d):
+        if numeric_cols[j]:
+            for i in range(n):
+                v = parsed[i][j]
+                X[i, j] = np.nan if v is None else v
+        else:
+            for i in range(n):
+                cell = rows[i][j]
+                X[i, j] = None if _is_missing(cell) else cell
+
+    return Dataset(feature_names=feature_names, X=X, y=np.array(labels, dtype=np.int64),
+                   provenance=str(path))
+
+
+def _column_is_categorical(col) -> bool:
+    return any(isinstance(v, str) for v in col)
+
+
+def impute_missing_cellwise(ds: Dataset) -> Dataset:
+    """Fill gaps: numeric columns by their median, categorical by their mode.
+
+    Mode ties break lexicographically smallest. A column with every value
+    missing cannot be imputed and raises ValueError naming it. Idempotent.
+    """
+    if ds.is_numeric:
+        X = np.array(ds.X, dtype=np.float64)
+        for j in range(ds.n_features):
+            col = X[:, j]
+            gaps = np.isnan(col)
+            if not gaps.any():
+                continue
+            if gaps.all():
+                raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
+            col[gaps] = float(np.median(col[~gaps]))
+        return ds.replace(X=X)
+
+    X = np.array(ds.X, dtype=object)
+    for j in range(ds.n_features):
+        col = list(X[:, j])
+        present = [v for v in col
+                   if v is not None and not (isinstance(v, float) and math.isnan(v))]
+        if not present:
+            raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
+        if _column_is_categorical(present):
+            counts = Counter(present)
+            top = max(counts.values())
+            fill = min(tok for tok, c in counts.items() if c == top)
+        else:
+            fill = float(np.median(np.array(present, dtype=np.float64)))
+        for i, v in enumerate(col):
+            if v is None or (isinstance(v, float) and math.isnan(v)):
+                X[i, j] = fill
+    return ds.replace(X=X)
+
+
+def encode_categoricals_cellwise(ds: Dataset) -> Dataset:
+    """Map each categorical column to integer codes by first appearance.
+
+    Codes run 0, 1, 2, ... in order of first occurrence. The per-column
+    token order is recorded in the returned dataset's ``category_maps`` for
+    reuse on later data (see apply_category_maps). All-numeric input is
+    returned unchanged. Requires missing values to be imputed first.
+    """
+    if ds.is_numeric:
+        if np.isnan(ds.X).any():
+            raise ValueError("impute missing values before encoding")
+        return ds
+
+    maps = dict(ds.category_maps)
+    X = np.empty(ds.X.shape, dtype=np.float64)
+    for j in range(ds.n_features):
+        col = list(ds.X[:, j])
+        for v in col:
+            if v is None or (isinstance(v, float) and math.isnan(v)):
+                raise ValueError("impute missing values before encoding")
+        if _column_is_categorical(col):
+            order = []
+            codes = {}
+            for v in col:
+                tok = str(v)
+                if tok not in codes:
+                    codes[tok] = len(order)
+                    order.append(tok)
+            maps[ds.feature_names[j]] = tuple(order)
+            X[:, j] = [codes[str(v)] for v in col]
+        else:
+            X[:, j] = [float(v) for v in col]
+    return ds.replace(X=X, category_maps=maps)
+
+
+def apply_category_maps_cellwise(ds: Dataset, maps: dict) -> Dataset:
+    """Encode categorical columns using previously recorded token orders.
+
+    Tokens unseen at fit time get code = count of known categories for that
+    column. Columns not named in ``maps`` must already be numeric.
+    """
+    if ds.is_numeric:
+        return ds
+    X = np.empty(ds.X.shape, dtype=np.float64)
+    for j, name in enumerate(ds.feature_names):
+        col = list(ds.X[:, j])
+        if name in maps:
+            known = {tok: code for code, tok in enumerate(maps[name])}
+            unseen = len(known)
+            X[:, j] = [known.get(str(v), unseen) for v in col]
+        else:
+            if _column_is_categorical(col):
+                raise ValueError(f"no category map for categorical column {name!r}")
+            X[:, j] = [float(v) for v in col]
+    return ds.replace(X=X, category_maps=dict(maps))

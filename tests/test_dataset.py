@@ -1,5 +1,9 @@
 """CSV ingestion, imputation, encoding, and stratified splitting."""
 
+import csv
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,8 @@ from flowguard.dataset import (
     stratified_fold_indices,
     stratified_split,
 )
+from oracles import (apply_category_maps_cellwise, encode_categoricals_cellwise,
+                     impute_missing_cellwise, load_csv_cellwise)
 
 
 def write(path, text):
@@ -142,6 +148,18 @@ def test_encode_requires_imputation_first():
         encode_categoricals(ds)
 
 
+@pytest.mark.parametrize("X", [
+    np.array([[np.nan, None]], dtype=object),    # both gaps at once
+    np.array([[1.0, None]], dtype=object),       # a gap in a mapped column
+    np.array([[np.nan, "tcp"]], dtype=object),   # a gap in an unmapped column
+    np.array([[np.nan, 0.0]]),                   # an all-numeric matrix
+])
+def test_apply_category_maps_requires_imputation_first(X):
+    ds = Dataset(feature_names=("v", "p"), X=X, y=np.array([0]))
+    with pytest.raises(ValueError, match="impute missing values before encoding"):
+        apply_category_maps(ds, {"p": ("tcp", "udp")})
+
+
 def test_split_worked_example():
     # 6 benign + 4 ddos at ratio 0.8 -> floor gives 4 + 3 = 7 train, 3 test
     X = np.arange(20, dtype=np.float64).reshape(10, 2)
@@ -244,3 +262,164 @@ def test_dataset_is_immutable():
         ds.X[0, 0] = 5.0
     with pytest.raises(ValueError):
         ds.y[0] = 1
+
+
+
+# --- the column-at-a-time read side against the cell-at-a-time oracles ----
+
+def outcome(fn, *args):
+    """("ok", result) or ("raised", exception type, message) of one call."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return ("raised", type(exc), str(exc))
+
+
+def float_bits(v):
+    return struct.pack("<d", v)
+
+
+def assert_same_dataset(got, want):
+    """Same names, dtype, cells (value, type and bits), labels and maps."""
+    assert got.feature_names == want.feature_names
+    assert got.provenance == want.provenance
+    assert got.category_maps == want.category_maps
+    assert got.y.dtype == want.y.dtype and got.y.tobytes() == want.y.tobytes()
+    assert got.X.dtype == want.X.dtype and got.X.shape == want.X.shape
+    if got.X.dtype != object:
+        assert got.X.tobytes() == want.X.tobytes()
+        return
+    for a, b in zip(got.X.ravel(), want.X.ravel()):
+        assert type(a) is type(b), (a, b)
+        if isinstance(a, float):
+            assert float_bits(a) == float_bits(b), (a, b)
+        else:
+            assert a == b, (a, b)
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1:] == want[1:]
+    else:
+        assert_same_dataset(got[1], want[1])
+
+
+def assert_read_side_matches_oracles(path, maps):
+    """load, impute, encode and apply agree with the oracles step by step."""
+    got = outcome(load_csv, path)
+    want = outcome(load_csv_cellwise, path)
+    assert_same_outcome(got, want)
+    if got[0] == "raised":
+        return
+    got = outcome(impute_missing, got[1])
+    want = outcome(impute_missing_cellwise, want[1])
+    assert_same_outcome(got, want)
+    if got[0] == "raised":
+        return
+    assert_same_outcome(outcome(encode_categoricals, got[1]),
+                        outcome(encode_categoricals_cellwise, want[1]))
+    assert_same_outcome(outcome(apply_category_maps, got[1], maps),
+                        outcome(apply_category_maps_cellwise, want[1], maps))
+
+
+# Tokens for generated CSV text. float() reads the numeric ones, including
+# spellings of infinity and NaN, digit groups and non-ASCII digits.
+NUMBERS = ("0", "1.5", "-2", "1e3", "-0", "3.", ".5", "1_000", "\u0661\u0662",
+           "\uff15", " 7 ", "inf", "-inf", "+Infinity", "INF", "nan", "-nan",
+           "NaN", "1e999", "0x1", "1__0")
+MISSING = ("", "na", "n/a", "nan", "null", "?")
+WORDS = ("tcp", "udp", "icmp", "TCP", "a,b", 'q"uote', "x y", "\u00f1", "6",
+         "17", "1.5", "None", "line\nbreak", "nul\x00")
+KINDS = ("numeric", "categorical") * 3 + ("missing",)  # kinds of column
+GOOD_LABELS = ("0", "1", "1.0", " 0 ", "0e0", "-0", "1.", "+1")
+BAD_LABELS = ("2", "x", "", "nan", "-1", "0.5", "inf", "1_0", "one")
+
+
+def csv_cases():
+    """Strategy for (CSV text, category maps) covering the loader's rules."""
+    from hypothesis import strategies as st
+
+    @st.composite
+    def missing_token(draw):
+        token = "".join(c.upper() if draw(st.booleans()) else c
+                        for c in draw(st.sampled_from(MISSING)))
+        pad = st.sampled_from(("", " ", "\t", "  "))
+        return draw(pad) + token + draw(pad)
+
+    number = st.one_of(st.sampled_from(NUMBERS),
+                       st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    word = st.one_of(st.sampled_from(WORDS), st.text(max_size=4))
+    cells = {
+        "numeric": st.one_of(number, missing_token()),
+        "categorical": st.one_of(word, number, missing_token()),
+        "missing": missing_token(),
+    }
+
+    @st.composite
+    def cases(draw):
+        d = draw(st.integers(0, 4))
+        n = draw(st.integers(0, 8))
+        kinds = [draw(st.sampled_from(KINDS)) for _ in range(d)]
+        names = [f"c{j}" for j in range(d)]
+        label_at = draw(st.integers(0, d))
+        header = names[:label_at] + ["label"] + names[label_at:]
+        bad_row = draw(st.integers(0, 4 * n))  # a bad label in one file of four
+        rows = []
+        for i in range(n):
+            label = draw(st.sampled_from(BAD_LABELS if i == bad_row else GOOD_LABELS))
+            row = [draw(cells[kind]) for kind in kinds]
+            rows.append(row[:label_at] + [label] + row[label_at:])
+        if rows and draw(st.integers(0, 7)) == 0:  # one ragged row
+            row = rows[draw(st.integers(0, n - 1))]
+            if draw(st.booleans()) or not row:
+                row.append("extra")
+            else:
+                row.pop()
+        text = io.StringIO()
+        quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+        csv.writer(text, quoting=quoting).writerows([header] + rows)
+        maps = {}
+        for name in names:
+            if draw(st.integers(0, 3)):  # most columns carry a map
+                maps[name] = tuple(draw(st.lists(st.sampled_from(WORDS), unique=True,
+                                                 max_size=4)))
+        return text.getvalue(), maps
+
+    return cases()
+
+
+def test_read_side_matches_cellwise_oracles(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    path = tmp_path / "case.csv"
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_cases())
+    def check(case):
+        text, maps = case
+        path.write_text(text, encoding="utf-8")
+        assert_read_side_matches_oracles(path, maps)
+
+    check()
+
+
+@pytest.mark.parametrize("content", [
+    "a,label\n",                                       # a header alone
+    "label\n1\n0\n",                                  # no feature column
+    "a,label\n\n1,0\n",                               # a blank line is ragged
+    "a,label\n1,7\n" + "x" * 200_000 + ",0\n",        # bad label, then a csv error
+    "a,label\n" + "x" * 200_000 + ",0\n",              # a csv error alone
+    b"a,label\n1,7\n" + b"1,0\n" * 5000 + b"\xff,0\n",  # bad label, then bad UTF-8
+    b"a,label\n" + b"1,0\n" * 5000 + b"\xff,0\n",        # bad UTF-8 alone
+    "a,b,label\nNA,tcp,0\nnull,?,1\n",                # all-missing numeric column
+    "a,label\n\"1,5\",0\n2,1\n",                     # a quoted comma
+])
+def test_edge_files_match_cellwise_oracles(tmp_path, content):
+    path = tmp_path / "edge.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    assert_read_side_matches_oracles(path, {"b": ("tcp",)})

@@ -9,7 +9,7 @@ exact-tie rule is the single documented exception).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +38,7 @@ class ModelSpec:
         return learner(self.kind)
 
     def with_seed(self, seed: int) -> "ModelSpec":
-        return ModelSpec(kind=self.kind, hyperparameters=dict(self.hyperparameters),
-                         seed=seed)
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,12 @@ import sys
 from pathlib import Path
 
 from . import classifiers as clf
-from .dataset import (DEFAULT_LABEL_COLUMN, apply_category_maps,
-                      encode_categoricals, impute_missing, label_distribution,
-                      load_csv)
+from .dataset import (DEFAULT_LABEL_COLUMN, _scan, encode_categoricals,
+                      impute_missing, label_distribution, load_csv)
 from .experiment import (ExperimentConfig, PipelineState, report_to_dict,
-                         run_full_experiment, transform_with_pipeline,
-                         write_report_files)
+                         run_full_experiment, write_report_files)
 from .metrics import evaluate_capture
-from .preprocess import (LofConfig, SmoteConfig, scaler_from_dict,
-                         scaler_to_dict)
+from .preprocess import LofConfig, SmoteConfig
 from .synth import SynthConfig, generate, write_csv
 
 
@@ -198,14 +195,7 @@ def _save_track_models(report, ds, out_dir, label_column):
     # The run's own final models, each bundled with its track's fitted
     # pipeline so `evaluate` can reproduce preprocessing.
     for track_report in report.tracks:
-        state = track_report.state
-        pipeline = {
-            "scaler": scaler_to_dict(state.scaler),
-            "category_maps": {k: list(v) for k, v in ds.category_maps.items()},
-            "label_column": label_column,
-            "feature_names": list(ds.feature_names),
-            "selected": None if state.selected is None else list(state.selected),
-        }
+        pipeline = track_report.state.to_dict(label_column)
         for m in track_report.models:
             path = out_dir / f"model_{m.name}_{track_report.track}.json"
             clf.save_model(m.model, path, pipeline=pipeline)
@@ -222,16 +212,10 @@ def _cmd_inspect(args):
     print(f"features: {ds.n_features}")
     print(f"labels: {dist.benign_count} benign / {dist.ddos_count} ddos")
     for j, name in enumerate(ds.feature_names):
-        if ds.is_numeric:
-            kind, missing = "numeric", int(sum(1 for v in ds.X[:, j] if v != v))
-        else:
-            col = list(ds.X[:, j])
-            is_cat = any(isinstance(v, str) for v in col)
-            kind = "categorical" if is_cat else "numeric"
-            missing = sum(1 for v in col
-                          if v is None or (isinstance(v, float) and v != v))
+        categorical, gaps, _ = _scan(ds.X[:, j])
+        missing = int(gaps.sum())
         suffix = f" ({missing} missing)" if missing else ""
-        print(f"  {name}: {kind}{suffix}")
+        print(f"  {name}: {'categorical' if categorical else 'numeric'}{suffix}")
     return 0
 
 
@@ -249,41 +233,20 @@ def _cmd_synth(args):
     return 0
 
 
-def _bundle_columns(ds, names):
-    """The columns a bundle was trained on, by name and in its order."""
-    missing = [n for n in names if n not in ds.feature_names]
-    extra = [n for n in ds.feature_names if n not in names]
-    if missing or extra:
-        raise ValueError(f"columns do not match the model's features: "
-                         f"missing {missing}, extra {extra}")
-    idx = [ds.feature_names.index(n) for n in names]
-    return ds.replace(feature_names=tuple(names), X=ds.X[:, idx])
-
-
 def _cmd_evaluate(args):
     try:
         model, pipeline = clf.load_model(args.model)
+        state = PipelineState.from_dict(pipeline)
     except (OSError, ValueError, KeyError) as exc:
         _fail("model", exc)
-    if pipeline is None:
-        _fail("model", ValueError(
-            "model file carries no preprocessing bundle; save models via "
-            "`flowguard run --save-models`"))
     label_column = args.label_column or pipeline.get("label_column",
                                                      DEFAULT_LABEL_COLUMN)
     try:
-        ds = load_csv(args.data, label_column=label_column)
-        if pipeline.get("feature_names") is not None:
-            ds = _bundle_columns(ds, pipeline["feature_names"])
-        ds = impute_missing(ds)
-        ds = apply_category_maps(ds, {k: tuple(v) for k, v in
-                                      pipeline.get("category_maps", {}).items()})
+        ds = state.prepare(load_csv(args.data, label_column=label_column))
     except ValueError as exc:
         _fail("load", exc)
     try:
-        state = PipelineState(scaler=scaler_from_dict(pipeline["scaler"]),
-                              selected=pipeline.get("selected"))
-        ds = transform_with_pipeline(state, ds)
+        ds = state.transform(ds)
         pred = clf.predict(model, ds)
         report = evaluate_capture(ds.y, pred.labels, pred.probabilities)
     except ValueError as exc:

@@ -9,6 +9,7 @@ categorical otherwise.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -75,15 +76,7 @@ class Dataset:
         return self.X.dtype.kind == "f"
 
     def replace(self, **changes) -> "Dataset":
-        base = {
-            "feature_names": self.feature_names,
-            "X": self.X,
-            "y": self.y,
-            "provenance": self.provenance,
-            "category_maps": self.category_maps,
-        }
-        base.update(changes)
-        return Dataset(**base)
+        return dataclasses.replace(self, **changes)
 
     def take(self, indices) -> "Dataset":
         """Row subset in the given index order."""
@@ -107,24 +100,6 @@ class SplitPair:
     test: Dataset
     ratio: float
     seed: int
-
-
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in MISSING_TOKENS
-
-
-def _read_rows(reader):
-    """Every remaining row of ``reader``, and the read error that ended it.
-
-    The error is handed back, not raised, so that a bad row read before it is
-    still reported first, as by a loader that checks each row as it reads it.
-    """
-    rows = []
-    try:
-        rows.extend(reader)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        return rows, exc
-    return rows, None
 
 
 def _parse_labels(cells) -> np.ndarray:
@@ -156,7 +131,7 @@ def _parse_column(cells):
         # token makes it fail, so only such a column is searched for gaps.
         values = np.fromiter(map(float, cells), np.float64, n)
     except ValueError:
-        gap_tokens = {tok for tok in set(cells) if _is_missing(tok)}
+        gap_tokens = {tok for tok in set(cells) if tok.strip().lower() in MISSING_TOKENS}
         gaps = np.fromiter(map(gap_tokens.__contains__, cells), bool, n)
         present = [cell for cell in cells if cell not in gap_tokens]
         try:
@@ -176,8 +151,8 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
 
     Columns are typed numeric when every non-missing value parses as a number
     (non-finite ones become gaps), categorical otherwise. Label values must be
-    0 or 1; violations raise LoadError naming the offending data row (1-based,
-    excluding the header).
+    0 or 1; violations, and rows the csv module cannot parse, raise LoadError
+    naming the offending data row (1-based, excluding the header).
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -189,12 +164,20 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise LoadError(f"{path!r} is empty; a header row is mandatory") from None
+        except csv.Error as exc:
+            raise LoadError(f"header: {exc}") from exc
         dupes = [name for name, cnt in Counter(header).items() if cnt > 1]
         if dupes:
             raise LoadError(f"duplicate column name(s) in header: {sorted(dupes)}")
         if label_column not in header:
             raise LoadError(f"label column {label_column!r} not found in header {header}")
-        rows, read_error = _read_rows(reader)
+        # A read error is raised after the rows read before it are checked,
+        # so a bad row there is still reported first.
+        rows, read_error = [], None
+        try:
+            rows.extend(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            read_error = exc
 
     width = len(header)
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
@@ -205,6 +188,8 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     labels = _parse_labels(columns.pop(header.index(label_column)))
     if ragged.size:
         raise LoadError(f"row {n + 1}: expected {width} fields, got {lengths[n]}")
+    if isinstance(read_error, csv.Error):
+        raise LoadError(f"row {n + 1}: {read_error}") from read_error
     if read_error is not None:
         raise read_error
 
@@ -218,12 +203,14 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
 
 
 def _scan(column):
-    """Type one column of a raw object matrix: (categorical, gaps, values).
+    """Type one column of ``Dataset.X``: (categorical, gaps, values).
 
     The column is categorical when any cell is a ``str``. Every other cell is
     read as a float (None as NaN), and a NaN there is a gap. ``values`` holds
     those floats, in order, when the column is numeric, else None.
     """
+    if column.dtype.kind == "f":
+        return False, np.isnan(column), column
     text = [issubclass(t, str) for t in set(map(type, column))]
     if not any(text):
         values = column.astype(np.float64)
@@ -242,26 +229,14 @@ def impute_missing(ds: Dataset) -> Dataset:
     A column with every value missing cannot be imputed and raises ValueError
     naming it. Idempotent.
     """
-    if ds.is_numeric:
-        X = np.array(ds.X, dtype=np.float64)
-        for j in range(ds.n_features):
-            col = X[:, j]
-            gaps = np.isnan(col)
-            if not gaps.any():
-                continue
-            if gaps.all():
-                raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
-            col[gaps] = float(np.median(col[~gaps]))
-        return ds.replace(X=X)
-
-    X = np.array(ds.X, dtype=object)
+    X = np.array(ds.X, dtype=np.float64 if ds.is_numeric else object)
     for j in range(ds.n_features):
         col = X[:, j]
         categorical, gaps, values = _scan(col)
-        if gaps.all():
-            raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
         if not gaps.any():
             continue
+        if gaps.all():
+            raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
         if categorical:
             counts = Counter(col[~gaps])
             top = max(counts.values())
@@ -277,30 +252,14 @@ def encode_categoricals(ds: Dataset) -> Dataset:
 
     Codes run 0, 1, 2, ... in order of first occurrence. The per-column
     token order is recorded in the returned dataset's ``category_maps`` for
-    reuse on later data (see apply_category_maps). All-numeric input is
-    returned unchanged. Requires missing values to be imputed first.
+    reuse on later data (see apply_category_maps). All-numeric input keeps
+    its values. Requires missing values to be imputed first.
     """
-    if ds.is_numeric:
-        if np.isnan(ds.X).any():
-            raise ValueError("impute missing values before encoding")
-        return ds
-
-    maps = dict(ds.category_maps)
-    X = np.empty(ds.X.shape, dtype=np.float64)
-    for j, name in enumerate(ds.feature_names):
-        col = ds.X[:, j]
-        categorical, gaps, values = _scan(col)
-        if gaps.any():
-            raise ValueError("impute missing values before encoding")
-        if categorical:
-            tokens = list(map(str, col.tolist()))
-            order = tuple(dict.fromkeys(tokens))  # distinct, in order of appearance
-            codes = dict(zip(order, range(len(order))))
-            X[:, j] = np.fromiter(map(codes.__getitem__, tokens), np.float64, len(tokens))
-            maps[name] = order
-        else:
-            X[:, j] = values
-    return ds.replace(X=X, category_maps=maps)
+    scans = [_scan(ds.X[:, j]) for j in range(ds.n_features)]
+    learned = {name: tuple(dict.fromkeys(map(str, ds.X[:, j].tolist())))
+               for j, name in enumerate(ds.feature_names) if scans[j][0]}
+    return ds.replace(X=_encode(ds, scans, learned),
+                      category_maps={**ds.category_maps, **learned})
 
 
 def apply_category_maps(ds: Dataset, maps: dict) -> Dataset:
@@ -318,6 +277,16 @@ def apply_category_maps(ds: Dataset, maps: dict) -> Dataset:
     for name, (categorical, _, _) in zip(ds.feature_names, scans):
         if categorical and name not in maps:
             raise ValueError(f"no category map for categorical column {name!r}")
+    return ds.replace(X=_encode(ds, scans, maps), category_maps=dict(maps))
+
+
+def _encode(ds: Dataset, scans, maps) -> np.ndarray:
+    """Float matrix of ``ds`` from its column ``scans`` (see ``_scan``).
+
+    A column named in ``maps`` holds each token's position in its map, or
+    the map's length for an unseen token; any other holds its scanned values.
+    A gap anywhere raises ValueError.
+    """
     if any(gaps.any() for _, gaps, _ in scans):
         raise ValueError("impute missing values before encoding")
     X = np.empty(ds.X.shape, dtype=np.float64)
@@ -329,7 +298,7 @@ def apply_category_maps(ds: Dataset, maps: dict) -> Dataset:
                                   np.float64, ds.n_rows)
         else:
             X[:, j] = values
-    return ds.replace(X=X, category_maps=dict(maps))
+    return X
 
 
 def label_distribution(ds: Dataset) -> LabelDistribution:
@@ -388,19 +357,30 @@ def stratified_fold_indices(y, n_folds: int, seed: int):
 
 
 def dataset_to_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) -> None:
-    """Write a Dataset back out in the standard CSV format."""
+    """Write a Dataset in the standard CSV format, one column at a time.
+
+    Strings are written as they are, numbers by ``repr`` (exact for float64)
+    and gaps (None, NaN) as empty cells, so ``load_csv`` reads them back.
+    """
+    columns = [_column_text(ds.X[:, j]) for j in range(ds.n_features)]
+    columns.append(list(map(str, ds.y.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + [label_column])
-        for i in range(ds.n_rows):
-            row = []
-            for v in ds.X[i]:
-                if isinstance(v, str):
-                    row.append(v)
-                else:
-                    row.append(repr(float(v)))
-            row.append(int(ds.y[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
+
+
+def _column_text(column) -> list:
+    """CSV cells of one column of ``Dataset.X``; see dataset_to_csv."""
+    categorical, gaps, values = _scan(column)
+    if categorical:
+        cells = [v if isinstance(v, str) else "" if v is None else repr(float(v))
+                 for v in column.tolist()]
+    else:
+        cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(gaps).tolist():
+        cells[i] = ""
+    return cells
 
 
 def content_hash(ds: Dataset) -> str:

@@ -34,6 +34,7 @@ seed (see classifiers.svc).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -45,11 +46,13 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers as clf
-from .dataset import (Dataset, SplitPair, content_hash, label_distribution,
+from .dataset import (Dataset, SplitPair, apply_category_maps, content_hash,
+                      impute_missing, label_distribution,
                       stratified_fold_indices, stratified_split)
 from .metrics import MetricsReport, RocCurve, evaluate_predictions
 from .preprocess import (LofConfig, Scaler, SmoteConfig, apply_scaler,
-                         fit_scaler, remove_outliers, smote_oversample)
+                         fit_scaler, remove_outliers, scaler_from_dict,
+                         scaler_to_dict, smote_oversample)
 
 logger = logging.getLogger(__name__)
 
@@ -169,17 +172,92 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class PipelineState:
+    """A track's fitted preprocessing, and the bundle format that carries it.
+
+    ``feature_names`` and ``category_maps`` are those of the training
+    partition the pipeline was fitted on; read from a bundle that lacks
+    them, they are None and empty.
+    """
+
     scaler: Scaler
     selected: tuple | None  # column indices kept by feature selection
     smote_added: int = 0
     lof_removed: int = 0
+    feature_names: tuple | None = None
+    category_maps: dict = field(default_factory=dict)
+
+    def prepare(self, ds: Dataset) -> Dataset:
+        """A raw capture encoded as the training data was: its columns picked
+        by the training names, gaps imputed from the capture itself, tokens
+        coded by the training category maps. ValueError if it cannot be."""
+        if self.feature_names is not None:
+            missing = [n for n in self.feature_names if n not in ds.feature_names]
+            extra = [n for n in ds.feature_names if n not in self.feature_names]
+            if missing or extra:
+                raise ValueError(f"columns do not match the model's features: "
+                                 f"missing {missing}, extra {extra}")
+            idx = [ds.feature_names.index(n) for n in self.feature_names]
+            ds = _select_columns(ds, idx)
+        return apply_category_maps(impute_missing(ds), self.category_maps)
+
+    def transform(self, ds: Dataset) -> Dataset:
+        """Scaler (and column selection) only; rows and labels pass through."""
+        out = apply_scaler(self.scaler, ds)
+        if self.selected is not None:
+            out = _select_columns(out, self.selected)
+        return out
+
+    def to_dict(self, label_column: str) -> dict:
+        """The ``pipeline`` entry of a saved model bundle."""
+        return {
+            "scaler": scaler_to_dict(self.scaler),
+            "category_maps": {k: list(v) for k, v in self.category_maps.items()},
+            "label_column": label_column,
+            "feature_names": _listed(self.feature_names),
+            "selected": _listed(self.selected),
+        }
+
+    @classmethod
+    def from_dict(cls, data) -> "PipelineState":
+        """The state in a bundle's ``pipeline`` entry, of which only ``scaler``
+        is required; ValueError if the entry is absent or malformed."""
+        if data is None:
+            raise ValueError("model file carries no preprocessing bundle; save "
+                             "models via `flowguard run --save-models`")
+        try:
+            scaler = scaler_from_dict(data["scaler"])
+            d = scaler.n_features
+            names, selected = data.get("feature_names"), data.get("selected")
+            names = None if names is None else _tupled(names, str)
+            selected = None if selected is None else _tupled(selected, int)
+            maps = {k: _tupled(v, str) for k, v in data.get("category_maps", {}).items()}
+            if (any(a.shape != (d,) for a in (scaler.mean, scaler.scale,
+                                              scaler.constant_mask))
+                    or names is not None and len(names) != d
+                    or not all(0 <= i < d for i in selected or ())):
+                raise ValueError(f"entries that do not fit a scaler of {d} features")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed model pipeline: {exc!r}") from exc
+        return cls(scaler=scaler, selected=selected, feature_names=names,
+                   category_maps=maps)
+
+
+def _listed(values):
+    return None if values is None else list(values)
+
+
+def _tupled(values, kind):
+    """A JSON list of ``kind`` values as a tuple; TypeError if it is not one."""
+    if not isinstance(values, list) or not all(
+            isinstance(v, kind) and not isinstance(v, bool) for v in values):
+        raise TypeError(f"expected a list of {kind.__name__}, got {values!r}")
+    return tuple(values)
 
 
 def _select_columns(ds: Dataset, indices) -> Dataset:
     idx = list(indices)
-    names = tuple(ds.feature_names[i] for i in idx)
-    return Dataset(feature_names=names, X=ds.X[:, idx], y=ds.y,
-                   provenance=ds.provenance, category_maps={})
+    return ds.replace(feature_names=tuple(ds.feature_names[i] for i in idx),
+                      X=ds.X[:, idx], category_maps={})
 
 
 def _rank_features(train: Dataset, top_m: int, seed: int):
@@ -202,9 +280,8 @@ def fit_track_pipeline(train: Dataset, smote_cfg, lof_cfg, select_top_m=None,
     processed = train
     smote_added = 0
     if smote_cfg is not None:
-        before = processed.n_rows
         processed = smote_oversample(processed, smote_cfg)
-        smote_added = processed.n_rows - before
+        smote_added = processed.n_rows - train.n_rows
     lof_removed = 0
     if lof_cfg is not None:
         removal = remove_outliers(processed, lof_cfg)
@@ -217,16 +294,10 @@ def fit_track_pipeline(train: Dataset, smote_cfg, lof_cfg, select_top_m=None,
         selected = _rank_features(processed, select_top_m, select_seed)
         processed = _select_columns(processed, selected)
     state = PipelineState(scaler=scaler, selected=selected,
-                          smote_added=smote_added, lof_removed=lof_removed)
+                          smote_added=smote_added, lof_removed=lof_removed,
+                          feature_names=train.feature_names,
+                          category_maps=train.category_maps)
     return processed, state
-
-
-def transform_with_pipeline(state: PipelineState, ds: Dataset) -> Dataset:
-    """Scaler (and column selection) only; rows and labels pass through."""
-    out = apply_scaler(state.scaler, ds)
-    if state.selected is not None:
-        out = _select_columns(out, state.selected)
-    return out
 
 
 def _accuracy(pred, ds: Dataset) -> float:
@@ -243,14 +314,11 @@ def build_fold_datasets(train: Dataset, n_folds: int, seed: int,
         mask[val_idx] = False
         raw_tr = train.take(np.flatnonzero(mask))
         raw_va = train.take(val_idx)
-        fold_smote = None
-        if smote_cfg is not None:
-            fold_smote = SmoteConfig(k_neighbors=smote_cfg.k_neighbors,
-                                     target_ratio=smote_cfg.target_ratio,
-                                     seed=smote_cfg.seed + f + 1)
+        fold_smote = (None if smote_cfg is None
+                      else dataclasses.replace(smote_cfg, seed=smote_cfg.seed + f + 1))
         proc_tr, state = fit_track_pipeline(raw_tr, fold_smote, lof_cfg,
                                             select_top_m, select_seed=seed + f + 1)
-        proc_va = transform_with_pipeline(state, raw_va)
+        proc_va = state.transform(raw_va)
         folds.append((proc_tr, proc_va))
     return folds
 
@@ -379,7 +447,7 @@ def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackRepor
 
     proc_train, state = fit_track_pipeline(split.train, smote_cfg, cfg.lof,
                                            cfg.select_top_m, select_seed=cfg.seed)
-    proc_test = transform_with_pipeline(state, split.test)
+    proc_test = state.transform(split.test)
     if proc_test.n_rows != split.test.n_rows or not np.array_equal(proc_test.y,
                                                                    split.test.y):
         raise AssertionError("test partition must pass through unmodified")
@@ -405,9 +473,8 @@ def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackRepor
             folds=outcome.folds, test=test_report, roc=roc,
             grid_trace=outcome.trace, model=model))
 
-    scaler = state.scaler
     constant = tuple(split.train.feature_names[i]
-                     for i in np.flatnonzero(scaler.constant_mask))
+                     for i in np.flatnonzero(state.scaler.constant_mask))
     selected = None
     if state.selected is not None:
         selected = tuple(split.train.feature_names[i] for i in state.selected)

@@ -10,12 +10,11 @@ Output is byte-identical for a given config.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, dataset_to_csv
 
 PROTOCOL_TOKENS = ("tcp", "udp", "icmp")
 _PROTOCOL_PROBS = (0.5, 0.3, 0.2)
@@ -80,18 +79,8 @@ def write_csv(cfg: SynthConfig, path) -> Dataset:
     and first-appearance encoding on the way back in.
     """
     ds = generate(cfg)
-    cat_cols = set(categorical_columns(cfg.n_features))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + ["label"])
-        for i in range(ds.n_rows):
-            row = []
-            for j in range(ds.n_features):
-                v = ds.X[i, j]
-                if j in cat_cols:
-                    row.append(PROTOCOL_TOKENS[int(v)])
-                else:
-                    row.append(repr(float(v)))
-            row.append(int(ds.y[i]))
-            writer.writerow(row)
+    X = ds.X.astype(object)
+    for j in categorical_columns(cfg.n_features):
+        X[:, j] = np.array(PROTOCOL_TOKENS, dtype=object)[ds.X[:, j].astype(np.int64)]
+    dataset_to_csv(ds.replace(X=X), path)
     return ds

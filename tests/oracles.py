@@ -439,6 +439,8 @@ def load_csv_cellwise(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset
             header = next(reader)
         except StopIteration:
             raise LoadError(f"{path!r} is empty; a header row is mandatory") from None
+        except csv.Error as exc:
+            raise LoadError(f"header: {exc}") from exc
         dupes = [name for name, cnt in Counter(header).items() if cnt > 1]
         if dupes:
             raise LoadError(f"duplicate column name(s) in header: {sorted(dupes)}")
@@ -449,19 +451,23 @@ def load_csv_cellwise(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset
 
         rows = []
         labels = []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise LoadError(
-                    f"row {row_no}: expected {len(header)} fields, got {len(row)}")
-            cell = row[label_idx]
-            try:
-                val = float(cell)
-            except ValueError:
-                raise LoadError(f"row {row_no}: label {cell!r} is not a number") from None
-            if val not in (0.0, 1.0):
-                raise LoadError(f"row {row_no}: label {cell!r} outside {{0, 1}}")
-            labels.append(int(val))
-            rows.append([c for i, c in enumerate(row) if i != label_idx])
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise LoadError(
+                        f"row {row_no}: expected {len(header)} fields, got {len(row)}")
+                cell = row[label_idx]
+                try:
+                    val = float(cell)
+                except ValueError:
+                    raise LoadError(
+                        f"row {row_no}: label {cell!r} is not a number") from None
+                if val not in (0.0, 1.0):
+                    raise LoadError(f"row {row_no}: label {cell!r} outside {{0, 1}}")
+                labels.append(int(val))
+                rows.append([c for i, c in enumerate(row) if i != label_idx])
+        except csv.Error as exc:
+            raise LoadError(f"row {len(rows) + 1}: {exc}") from exc
 
     n, d = len(rows), len(feature_names)
     # Type each column: numeric iff all non-missing cells parse as finite floats.

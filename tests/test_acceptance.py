@@ -19,7 +19,6 @@ from flowguard.experiment import (
     ExperimentConfig,
     fit_track_pipeline,
     run_full_experiment,
-    transform_with_pipeline,
     report_to_json,
     write_report_files,
 )
@@ -160,7 +159,7 @@ def test_smote_geometry_counts_and_train_only_scope():
     proc_train, state = fit_track_pipeline(split.train, SmoteConfig(seed=7),
                                            LofConfig(k_neighbors=5,
                                                      threshold=1.5))
-    proc_test = transform_with_pipeline(state, split.test)
+    proc_test = state.transform(split.test)
     assert content_hash(split.test) == test_before
     assert proc_test.n_rows == split.test.n_rows
     assert np.array_equal(proc_test.y, split.test.y)

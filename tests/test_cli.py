@@ -53,6 +53,20 @@ def test_inspect_types_columns(corpus, capsys):
     assert "f00: numeric" in out
 
 
+@pytest.mark.parametrize("text, columns", [
+    ("a,p,b,label\n1,tcp,5,0\n,?,6,1\n3,udp,7,0\n4,,8,1\n",
+     ["a: numeric (1 missing)", "p: categorical (2 missing)", "b: numeric"]),
+    ("a,b,label\n1,,0\nnan,2,1\n3,inf,0\n",  # an all-numeric capture
+     ["a: numeric (1 missing)", "b: numeric (2 missing)"]),
+])
+def test_inspect_counts_gaps(tmp_path, capsys, text, columns):
+    data = tmp_path / "gaps.csv"
+    data.write_text(text)
+    assert main(["inspect", str(data)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.strip() for line in lines[4:]] == columns
+
+
 def test_run_writes_report_and_models(finished_run, capsys):
     out = capsys.readouterr().out
     report = json.loads((finished_run / "report.json").read_text())
@@ -225,6 +239,64 @@ def test_evaluate_requires_pipeline_bundle(corpus, tmp_path, capsys):
     code = main(["evaluate", "--model", str(bare), "--data", str(corpus)])
     assert code == 1
     assert "error[model]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.pop("scaler"),
+    lambda p: p["scaler"].pop("scale"),
+    lambda p: p["scaler"].update(mean=p["scaler"]["mean"][:-1]),
+    lambda p: p["scaler"].update(constant_mask="yes"),
+    lambda p: p.update(feature_names=p["feature_names"][:-1]),
+    lambda p: p.update(feature_names="f00"),
+    lambda p: p.update(selected=[0, 99]),
+    lambda p: p.update(selected=[True]),
+    lambda p: p.update(category_maps={"f03": "tcp"}),
+    lambda p: p.update(category_maps=["f03"]),
+], ids=["no_scaler", "no_scale", "short_mean", "mask_text", "short_names", "names_text",
+        "selected_range", "selected_bool", "map_text", "maps_list"])
+def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, capsys,
+                                             edit):
+    doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
+    edit(doc["pipeline"])
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(bundle), "--data", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[model]: malformed model pipeline"), err
+
+
+def test_evaluate_scores_scaler_only_bundle(corpus, finished_run, tmp_path, capsys):
+    # a pipeline of a scaler alone scores a capture that is already numeric
+    doc = json.loads((finished_run / "model_knn_imbalanced.json").read_text())
+    doc["pipeline"] = {"scaler": doc["pipeline"]["scaler"]}
+    bundle = tmp_path / "scaler_only.json"
+    bundle.write_text(json.dumps(doc))
+    text = corpus.read_text()
+    numeric = tmp_path / "numeric.csv"
+    numeric.write_text(text.replace("tcp", "0").replace("udp", "1").replace("icmp", "2"))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(bundle), "--data", str(numeric)]) == 0, \
+        capsys.readouterr().err
+    assert "rows: 150" in capsys.readouterr().out
+
+
+def test_unparsable_csv_fails_with_load_error(corpus, finished_run, tmp_path, capsys):
+    # a field longer than the csv module's limit, in the header or a row
+    lines = corpus.read_text().strip().split("\n")
+    long_field = "x" * 200_000
+    long_row = tmp_path / "long_row.csv"
+    long_row.write_text("\n".join(lines[:3] + [long_field + lines[3]] + lines[4:]))
+    long_header = tmp_path / "long_header.csv"
+    long_header.write_text("\n".join([long_field + lines[0]] + lines[1:]))
+    model = str(finished_run / "model_rf_balanced.json")
+    for data, where in ((long_row, "row 3: "), (long_header, "header: ")):
+        for argv in (["inspect", str(data)],
+                     ["run", "--data", str(data), "--out", str(tmp_path / "o")],
+                     ["evaluate", "--model", model, "--data", str(data)]):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error[load]: {where}field larger than field"), err
 
 
 def test_run_requires_exactly_one_source(corpus, capsys):

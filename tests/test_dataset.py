@@ -405,6 +405,31 @@ def test_read_side_matches_cellwise_oracles(tmp_path):
     check()
 
 
+def assert_csv_round_trip(text, tmp_path):
+    """A capture load_csv accepts comes back from dataset_to_csv unchanged."""
+    (tmp_path / "in.csv").write_text(text, encoding="utf-8")
+    try:
+        ds = load_csv(tmp_path / "in.csv")
+    except LoadError:
+        return
+    dataset_to_csv(ds, tmp_path / "out.csv")
+    back = load_csv(tmp_path / "out.csv")
+    assert_same_dataset(back.replace(provenance=ds.provenance), ds)
+
+
+def test_csv_round_trip_of_accepted_captures(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_cases())
+    @example(("a,p,label\n1,tcp,0\n,?,1\n3,udp,0\n", {}))  # gaps of both kinds
+    def check(case):
+        assert_csv_round_trip(case[0], tmp_path)
+
+    check()
+
+
 @pytest.mark.parametrize("content", [
     "a,label\n",                                       # a header alone
     "label\n1\n0\n",                                  # no feature column

@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from flowguard.dataset import Dataset, content_hash, stratified_split
+from flowguard.dataset import (Dataset, content_hash, encode_categoricals,
+                               stratified_split)
 from flowguard.experiment import (
     ExperimentConfig,
+    PipelineState,
     build_fold_datasets,
     expand_grid,
+    fit_track_pipeline,
     grid_search,
     kfold_cv,
     run_full_experiment,
@@ -260,3 +263,29 @@ def test_feature_selection_keeps_informative_columns():
     for track in report.tracks:
         assert set(track.selected_features) == {"f1", "f4"}
         assert "select" in track.pipeline
+
+
+def test_pipeline_state_bundle_round_trip():
+    X = np.array([["tcp", 1.0, 5.0], ["udp", 2.0, 5.0], ["tcp", 4.0, 5.0],
+                  ["icmp", 3.0, 5.0]] * 3, dtype=object)
+    raw = Dataset(feature_names=("p", "a", "c"), X=X, y=[0, 1, 1, 0] * 3)
+    train = encode_categoricals(raw)
+    _, state = fit_track_pipeline(train, None, None, select_top_m=2)
+    assert state.feature_names == ("p", "a", "c")
+    assert state.category_maps == {"p": ("tcp", "udp", "icmp")}
+    doc = state.to_dict("cls")
+    assert list(doc) == ["scaler", "category_maps", "label_column", "feature_names",
+                         "selected"]
+    assert doc["label_column"] == "cls"
+    back = PipelineState.from_dict(json.loads(json.dumps(doc)))
+    assert back.to_dict("cls") == doc
+    # the raw capture, columns shuffled, scores as the encoded training rows do
+    shuffled = raw.replace(feature_names=("c", "p", "a"), X=raw.X[:, [2, 0, 1]])
+    got = back.transform(back.prepare(shuffled))
+    want = state.transform(train)
+    assert got.feature_names == want.feature_names
+    assert got.X.tobytes() == want.X.tobytes()
+
+    bare = PipelineState.from_dict({"scaler": doc["scaler"]})
+    assert (bare.feature_names, bare.category_maps, bare.selected) == (None, {}, None)
+    assert bare.prepare(train).X.tobytes() == train.X.tobytes()

@@ -19,8 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from flowguard.classifiers import (MODEL_KINDS, load_model,  # noqa: E402
                                    make_spec, save_model, train)
 from flowguard.dataset import Dataset  # noqa: E402
-from flowguard.experiment import (fit_track_pipeline,  # noqa: E402
-                                  transform_with_pipeline)
+from flowguard.experiment import fit_track_pipeline  # noqa: E402
 from flowguard.metrics import (agreement_metrics, brier_score,  # noqa: E402
                                confusion_matrix, core_metrics,
                                evaluate_predictions)
@@ -131,7 +130,7 @@ def test_transform_keeps_rows_order_and_labels(case, n_eval, top_m):
     _, state = fit_track_pipeline(train_ds, None, None, select_top_m=top_m)
     y = rng.integers(0, 2, size=n_eval)
     ds = make_ds(make_rows(rng, n_eval, train_ds.n_features, layout), y)
-    out = transform_with_pipeline(state, ds)
+    out = state.transform(ds)
     assert out.n_rows == ds.n_rows
     assert out.y.tobytes() == ds.y.tobytes()
     scaled = (ds.X - state.scaler.mean) / state.scaler.scale
@@ -140,6 +139,6 @@ def test_transform_keeps_rows_order_and_labels(case, n_eval, top_m):
         scaled = scaled[:, list(state.selected)]
     assert out.X.tobytes() == scaled.tobytes()
     for i in range(n_eval):  # each row transforms alone to the same values
-        alone = transform_with_pipeline(state, ds.take([i]))
+        alone = state.transform(ds.take([i]))
         assert alone.X.tobytes() == out.X[i].tobytes()
         assert alone.y.tolist() == [y[i]]

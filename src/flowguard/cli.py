@@ -185,13 +185,13 @@ def _cmd_run(args):
     except OSError as exc:
         _fail("write", exc)
     if args.save_models:
-        _save_track_models(report, ds, out_dir, args.label_column)
+        _save_track_models(report, out_dir, args.label_column)
     _print_summary(report)
     print(f"report written to {out_dir / 'report.json'}")
     return 0
 
 
-def _save_track_models(report, ds, out_dir, label_column):
+def _save_track_models(report, out_dir, label_column):
     # The run's own final models, each bundled with its track's fitted
     # pipeline so `evaluate` can reproduce preprocessing.
     for track_report in report.tracks:
@@ -242,7 +242,10 @@ def _cmd_evaluate(args):
     label_column = args.label_column or pipeline.get("label_column",
                                                      DEFAULT_LABEL_COLUMN)
     try:
-        ds = state.prepare(load_csv(args.data, label_column=label_column))
+        # A column the model encodes by category stays text, even where its
+        # tokens look like numbers (protocol numbers such as 6 and 17).
+        ds = state.prepare(load_csv(args.data, label_column=label_column,
+                                    text_columns=tuple(state.category_maps)))
     except ValueError as exc:
         _fail("load", exc)
     try:

@@ -102,12 +102,17 @@ class SplitPair:
     seed: int
 
 
+def _floats(cells):
+    """The cells read by float(), or None if one of them does not parse."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+
+
 def _parse_labels(cells) -> np.ndarray:
     """0/1 labels of one column; LoadError names the first bad row."""
-    try:
-        values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        values = None
+    values = _floats(cells)
     if values is None or not np.all((values == 0.0) | (values == 1.0)):
         for row_no, cell in enumerate(cells, start=1):
             try:
@@ -119,43 +124,46 @@ def _parse_labels(cells) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def _parse_column(cells):
+def _parse_column(cells, text=False):
     """Type one CSV column: (float64 values, None) if numeric, else (None, cells).
 
     A numeric column holds NaN at its gaps and non-finite values; a
     categorical one is an object array of its strings, None at its gaps.
+    With ``text`` the column is categorical even if every token is a number.
     """
     n = len(cells)
-    try:
-        # float() accepts the "nan" spellings of MISSING_TOKENS; every other
-        # token makes it fail, so only such a column is searched for gaps.
-        values = np.fromiter(map(float, cells), np.float64, n)
-    except ValueError:
+    # float() accepts the "nan" spellings of MISSING_TOKENS; every other
+    # token makes it fail, so only such a column is searched for gaps.
+    values = None if text else _floats(cells)
+    if values is None:
         gap_tokens = {tok for tok in set(cells) if tok.strip().lower() in MISSING_TOKENS}
         gaps = np.fromiter(map(gap_tokens.__contains__, cells), bool, n)
-        present = [cell for cell in cells if cell not in gap_tokens]
-        try:
-            parsed = np.fromiter(map(float, present), np.float64, len(present))
-        except ValueError:
+        present = (None if text
+                   else _floats([cell for cell in cells if cell not in gap_tokens]))
+        if present is None:
             column = np.array(cells, dtype=object)
             column[gaps] = None
             return None, column
         values = np.full(n, np.nan)
-        values[~gaps] = parsed
+        values[~gaps] = present
     values[~np.isfinite(values)] = np.nan  # a gap, filled by imputation
     return values, None
 
 
-def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
+def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN,
+             text_columns=()) -> Dataset:
     """Read a header-mandatory UTF-8 CSV into a Dataset.
 
     Columns are typed numeric when every non-missing value parses as a number
-    (non-finite ones become gaps), categorical otherwise. Label values must be
-    0 or 1; violations, and rows the csv module cannot parse, raise LoadError
-    naming the offending data row (1-based, excluding the header).
+    (non-finite ones become gaps), categorical otherwise; the columns named in
+    ``text_columns`` are categorical whatever their tokens look like. A
+    leading byte-order mark is not part of the first column's name. Label
+    values must be 0 or 1; violations, and rows the csv module cannot parse,
+    raise LoadError naming the offending data row (1-based, excluding the
+    header).
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise LoadError(f"cannot open dataset file {path!r}: {exc}") from exc
     with fh:
@@ -193,12 +201,13 @@ def load_csv(path, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     if read_error is not None:
         raise read_error
 
-    parsed = [_parse_column(cells) for cells in columns]
+    feature_names = tuple(h for h in header if h != label_column)
+    parsed = [_parse_column(cells, name in text_columns)
+              for name, cells in zip(feature_names, columns)]
     all_numeric = all(text is None for _, text in parsed)
     X = np.empty((n, len(columns)), dtype=np.float64 if all_numeric else object)
     for j, (values, text) in enumerate(parsed):
         X[:, j] = values if text is None else text
-    feature_names = tuple(h for h in header if h != label_column)
     return Dataset(feature_names=feature_names, X=X, y=labels, provenance=str(path))
 
 

@@ -4,6 +4,10 @@ The terminal-summary hook prints one PASSED/FAILED line per acceptance
 test so the gate can be read at a glance at the end of a run.
 """
 
+import os
+
+import pytest
+
 ACCEPTANCE_FILE = "test_acceptance.py"
 
 
@@ -35,3 +39,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for nodeid, label, duration in sorted(lines):
         name = _acceptance_name(nodeid)
         writer.write_line(f"ACCEPTANCE {name}: {label} ({duration:.1f}s)")
+
+
+@pytest.fixture
+def one_cpu():
+    """Runs the test on one CPU of its affinity mask, where an experiment
+    runs its searches in this process."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity masks on this platform")
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)

@@ -117,7 +117,9 @@ def test_evaluate_saved_model(corpus, finished_run, capsys, tmp_path):
         assert 0.0 <= float(prob) <= 1.0  # plain decimal text, no reprs
 
 
-def test_save_models_trains_nothing_extra(corpus, tmp_path, monkeypatch, capsys):
+def test_save_models_trains_nothing_extra(corpus, tmp_path, monkeypatch, capsys,
+                                         one_cpu):
+    # On one CPU the searches run in this process, where the counter sees them.
     import flowguard.classifiers as classifiers
     from flowguard import cli
     from oracles import save_track_models_retrain
@@ -138,10 +140,12 @@ def test_save_models_trains_nothing_extra(corpus, tmp_path, monkeypatch, capsys)
                      "--out", str(out)] + flags) == 0
         counts[bool(flags)] = len(trained)
     capsys.readouterr()
+    assert counts[False] > 0
     assert counts[True] == counts[False]
 
     # the saved bundles are those a retraining writer produces, byte for byte
-    (report, ds, out, label_column), = saved
+    (report, out, label_column), = saved
+    ds = cli._load_dataset(cli.build_parser().parse_args(["run", "--data", str(corpus)]))
     retrained = tmp_path / "retrained"
     retrained.mkdir()
     save_track_models_retrain(report, ds, retrained, label_column)
@@ -224,6 +228,41 @@ def test_evaluate_selects_columns_by_name(corpus, finished_run, tmp_path, capsys
         assert main(["evaluate", "--model", model, "--data", str(data)]) == 1
         err = capsys.readouterr().err
         assert "error[load]" in err and column in err
+
+
+def test_evaluate_keeps_numeric_looking_categories_as_text(corpus, tmp_path, monkeypatch,
+                                                          capsys):
+    from flowguard.experiment import PipelineState
+
+    # protocol numbers 6 and 17 in a column that also holds "tcp"
+    lines = corpus.read_text().strip().split("\n")
+    proto = lines[0].split(",").index("f03")
+    rows = [line.split(",") for line in lines]
+    for row in rows[1:]:
+        row[proto] = {"udp": "6", "icmp": "17"}.get(row[proto], row[proto])
+    data = tmp_path / "proto.csv"
+    data.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(data), "--tracks", "imbalanced", "--folds", "3",
+                 "--out", str(out), "--save-models"]) == 0
+    model = out / "model_knn_imbalanced.json"
+    assert json.loads(model.read_text())["pipeline"]["category_maps"] == {
+        "f03": ["6", "17", "tcp"]}
+
+    # a capture whose protocol tokens all look numeric scores them as codes
+    capture = tmp_path / "capture.csv"
+    kept = [row for row in rows[1:] if row[proto] != "tcp"]
+    capture.write_text("\n".join(",".join(row) for row in [rows[0]] + kept) + "\n")
+    prepared = []
+    transform = PipelineState.transform
+    monkeypatch.setattr(PipelineState, "transform",
+                        lambda self, ds: prepared.append(ds) or transform(self, ds))
+    assert main(["evaluate", "--model", str(model), "--data", str(capture)]) == 0, (
+        capsys.readouterr().err)
+    (ds,) = prepared
+    codes = {"6": 0.0, "17": 1.0}
+    assert ds.X[:, ds.feature_names.index("f03")].tolist() == [codes[row[proto]]
+                                                               for row in kept]
 
 
 def test_evaluate_requires_pipeline_bundle(corpus, tmp_path, capsys):

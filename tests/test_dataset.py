@@ -47,6 +47,23 @@ def test_load_csv_label_column_position_is_free(tmp_path):
     assert np.array_equal(ds.y, [1, 0])
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    p = write(tmp_path / "bom.csv", "\ufefflabel,a\n1,3\n0,4\n")
+    ds = load_csv(p)
+    assert ds.feature_names == ("a",)
+    assert np.array_equal(ds.y, [1, 0])
+
+
+def test_load_csv_keeps_named_columns_as_text(tmp_path):
+    p = write(tmp_path / "proto.csv", "proto,rate,label\n6,1.5,0\n17,,1\n6,2.5,0\n")
+    assert load_csv(p).is_numeric
+    ds = load_csv(p, text_columns=("proto",))
+    assert ds.X[:, 0].tolist() == ["6", "17", "6"]
+    assert ds.X[0, 1] == 1.5 and np.isnan(ds.X[1, 1])
+    encoded = apply_category_maps(impute_missing(ds), {"proto": ("6", "17")})
+    assert encoded.X[:, 0].tolist() == [0.0, 1.0, 0.0]
+
+
 def test_load_csv_errors(tmp_path):
     with pytest.raises(LoadError):
         load_csv(tmp_path / "absent.csv")

@@ -1,10 +1,14 @@
 """Experiment engine: CV, grid search, track pipelines, report artifacts."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from flowguard import classifiers, experiment
+from flowguard.cli import _save_track_models
 from flowguard.dataset import (Dataset, content_hash, encode_categoricals,
                                stratified_split)
 from flowguard.experiment import (
@@ -184,6 +188,75 @@ def test_run_track_leaves_test_partition_untouched():
     assert bal.smote_added > 0
     assert "smote" in bal.pipeline and "smote" not in imbal.pipeline
     assert bal.train_rows >= imbal.train_rows
+
+
+def test_pool_gives_the_outputs_of_the_in_process_run(tmp_path, monkeypatch):
+    ds = small_data()
+    cfg = small_config(models=("RF", "KNN", "GBT"),
+                       grids={**SMALL_GRIDS, "GBT": {"rounds": (5, 10)}})
+    pids = tmp_path / "pids"
+    train = classifiers.train
+
+    def recorded_train(spec, data):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return train(spec, data)
+
+    monkeypatch.setattr(classifiers, "train", recorded_train)
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        pids.write_text("", encoding="utf-8")
+        report = run_full_experiment(cfg, ds)
+        out = tmp_path / f"cpus{cpus}"
+        write_report_files(report, out)
+        _save_track_models(report, out, "label")
+        trainers = set(pids.read_text(encoding="utf-8").split())
+        # one CPU trains in this process; two train in pool workers only
+        assert (trainers == {str(os.getpid())}) == (cpus == 1), trainers
+        assert multiprocessing.active_children() == []
+        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs[1]) == 1 + 2 * 3 * 4  # report; 3 plots + 1 bundle each
+    assert outputs[2] == outputs[1]
+
+
+def test_pool_worker_errors_keep_their_type(monkeypatch):
+    from flowguard.classifiers.knn import KnnModel
+
+    ds = small_data()
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    # a learner that cannot train still surfaces as ValueError
+    with pytest.raises(ValueError, match="every grid combination failed for KNN"):
+        run_full_experiment(small_config(grids={**SMALL_GRIDS, "KNN": {"k": (5000,)}}),
+                            ds)
+    assert multiprocessing.active_children() == []
+
+    # any other exception in a worker reaches the caller with its type
+    parent, fit = os.getpid(), KnnModel.fit.__func__
+
+    def fit_outside_parent(cls, spec, X, y):
+        if os.getpid() != parent:
+            raise TypeError("learner fault in a worker")
+        return fit(cls, spec, X, y)
+
+    monkeypatch.setattr(KnnModel, "fit", classmethod(fit_outside_parent))
+    with pytest.raises(TypeError, match="learner fault in a worker"):
+        run_full_experiment(small_config(), ds)
+    assert multiprocessing.active_children() == []
+
+
+def _report_json(cfg, ds):
+    return report_to_json(run_full_experiment(cfg, ds))
+
+
+def test_runs_in_process_inside_a_pool_worker(monkeypatch):
+    # a pool worker may not fork workers of its own
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    cfg, ds = small_config(), small_data()
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inner = pool.apply_async(_report_json, (cfg, ds)).get(timeout=120)
+    assert inner == _report_json(cfg, ds)
+    assert multiprocessing.active_children() == []
 
 
 def test_report_names_and_confusion_consistency():

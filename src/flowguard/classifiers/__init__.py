@@ -7,6 +7,11 @@ lists the classes once, in report order; specs, training, persistence and
 the experiment's defaults all read them from there. Adding a learner means
 writing its class and adding it to ``LEARNERS``.
 
+A learner scores through one method. RF, GBT and KNN have a staged
+hyperparameter and implement ``staged_predict_sets``; SVC and MLP implement
+``predict_proba``. ``TrainedModel`` derives ``predict_set`` and
+``predict_proba`` from that one method.
+
 ``train`` fits the learner of ModelSpec.kind; ``predict`` returns hard
 labels and class-1 probabilities with the decision threshold fixed at 0.5.
 """

@@ -4,7 +4,8 @@ and small numeric helpers used by several learners.
 All five learners sit behind the same contract: ``train(spec, dataset)``
 returns a fitted model whose ``predict_set`` yields probabilities of class 1
 and hard labels thresholded at 0.5 (label 1 iff probability >= 0.5; KNN's
-exact-tie rule is the single documented exception).
+exact-tie rule is the single documented exception). Each learner scores in
+one method, and ``TrainedModel`` derives the others from it.
 """
 
 from __future__ import annotations
@@ -72,9 +73,13 @@ class TrainedModel:
     - ``needs_two_classes``: training on one class raises, because the
       objective degenerates, instead of giving a constant predictor.
 
-    A learner whose fit for a smaller value of one hyperparameter is an exact
-    prefix of its fit for a larger value names that hyperparameter in
-    ``staged_hyperparameter`` and implements ``staged_predict_sets``.
+    Each learner scores in exactly one method. A learner whose fit for a
+    smaller value of one hyperparameter is an exact prefix of its fit for a
+    larger value names that hyperparameter in ``staged_hyperparameter`` and
+    implements only ``staged_predict_sets``; its ``predict_set`` is the
+    one-stage case at its own value, and ``predict_proba`` is that set's
+    probabilities. Any other learner implements only ``predict_proba``, and
+    its ``predict_set`` thresholds those probabilities at 0.5.
     """
 
     kind = None
@@ -99,16 +104,25 @@ class TrainedModel:
                                  f"positive, got {hp[key]}")
 
     def predict_proba(self, X) -> np.ndarray:
-        raise NotImplementedError
+        """Class-1 probabilities; a learner without stages overrides this."""
+        if self.staged_hyperparameter is None:
+            raise NotImplementedError(f"{type(self).__name__} implements no "
+                                      "predict_proba")
+        return self.predict_set(X).probabilities
 
     def predict_set(self, X) -> PredictionSet:
-        return thresholded(self.predict_proba(X))
+        if self.staged_hyperparameter is None:
+            return thresholded(self.predict_proba(X))
+        own = self.spec.hyperparameters[self.staged_hyperparameter]
+        return self.staged_predict_sets(X, (own,))[own]
 
     def staged_predict_sets(self, X, values) -> dict:
         """{value: PredictionSet}: for each value of the staged
         hyperparameter (at most this model's own), exactly what a model
-        trained with that value would predict."""
-        raise NotImplementedError
+        trained with that value would predict. A learner with a
+        ``staged_hyperparameter`` overrides this."""
+        raise NotImplementedError(f"{type(self).__name__} implements no "
+                                  "staged_predict_sets")
 
     def _stage_values(self, values) -> set:
         """The distinct requested stages, each checked to lie in [1, own]."""

@@ -54,17 +54,6 @@ class GradientBoostedTreesModel(TrainedModel):
             loss_curve.append(mean_log_loss(scores, yf))
         return cls(spec, X.shape[1], trees, loss_curve)
 
-    def decision_scores(self, X):
-        X = self._check_arity(X)
-        eta = self.spec.hyperparameters["learning_rate"]
-        scores = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            scores += eta * tree_apply(tree, X)
-        return scores
-
-    def predict_proba(self, X):
-        return sigmoid(self.decision_scores(X))
-
     def staged_predict_sets(self, X, values):
         X = self._check_arity(X)
         wanted = self._stage_values(values)

@@ -62,13 +62,6 @@ class RandomForestModel(TrainedModel):
         importance /= hp["n_trees"]
         return cls(spec, d, trees, importance)
 
-    def predict_proba(self, X):
-        X = self._check_arity(X)
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += tree_apply(tree, X) >= 0.5
-        return votes / len(self.trees)
-
     def staged_predict_sets(self, X, values):
         X = self._check_arity(X)
         wanted = self._stage_values(values)

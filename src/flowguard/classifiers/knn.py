@@ -36,13 +36,6 @@ class KnnModel(TrainedModel):
                 f"k={spec.hyperparameters['k']} exceeds training size {X.shape[0]}")
         return cls(spec, X.shape[1], X, y)
 
-    def predict_proba(self, X):
-        return self.predict_set(X).probabilities
-
-    def predict_set(self, X) -> PredictionSet:
-        k = self.spec.hyperparameters["k"]
-        return self.staged_predict_sets(X, (k,))[k]
-
     def staged_predict_sets(self, X, values):
         X = self._check_arity(X)
         wanted = self._stage_values(values)

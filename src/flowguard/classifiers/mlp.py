@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel, sigmoid, softplus
+from .base import TrainedModel, mean_log_loss, sigmoid
 
 
 def init_parameters(layer_sizes, rng):
@@ -37,13 +37,12 @@ def _forward_logits(weights, biases, X):
     return activations[-1][:, 0], activations
 
 
-def loss_and_gradients(weights, biases, X, y):
-    """Mean BCE loss and its gradients w.r.t. every weight and bias."""
+def gradients(weights, biases, X, y):
+    """Gradients of the mean BCE loss w.r.t. every weight and bias."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     logits, activations = _forward_logits(weights, biases, X)
-    loss = float(np.mean(softplus(logits) - y * logits))
 
     grad_w = [np.zeros_like(W) for W in weights]
     grad_b = [np.zeros_like(b) for b in biases]
@@ -53,13 +52,12 @@ def loss_and_gradients(weights, biases, X, y):
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ weights[i].T) * (activations[i] > 0.0)
-    return loss, grad_w, grad_b
+    return grad_w, grad_b
 
 
 def bce_loss(weights, biases, X, y) -> float:
     logits, _ = _forward_logits(weights, biases, np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(softplus(logits) - y * logits))
+    return mean_log_loss(logits, y)
 
 
 class MlpModel(TrainedModel):
@@ -104,7 +102,7 @@ class MlpModel(TrainedModel):
             perm = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = perm[start:start + batch]
-                _, grad_w, grad_b = loss_and_gradients(weights, biases, X[idx], y[idx])
+                grad_w, grad_b = gradients(weights, biases, X[idx], y[idx])
                 for i in range(len(weights)):
                     vel_w[i] = mu * vel_w[i] - lr * grad_w[i]
                     vel_b[i] = mu * vel_b[i] - lr * grad_b[i]
@@ -152,8 +150,8 @@ def gradient_check(spec, dataset, step: float = 1e-5) -> float:
 
 
 def max_gradient_error(weights, biases, X, y, step: float = 1e-5) -> float:
-    """Finite-difference check of loss_and_gradients at the given parameters."""
-    _, grad_w, grad_b = loss_and_gradients(weights, biases, X, y)
+    """Finite-difference check of gradients at the given parameters."""
+    grad_w, grad_b = gradients(weights, biases, X, y)
     worst = 0.0
     for params, grads in ((weights, grad_w), (biases, grad_b)):
         for tensor, grad in zip(params, grads):

@@ -125,12 +125,8 @@ class LinearSvcModel(TrainedModel):
         w = _fit_weights(X, y, lam, epochs, spec.seed)
         return cls(spec, X.shape[1], w, platt_a, platt_b)
 
-    def decision_scores(self, X):
-        X = self._check_arity(X)
-        return X @ self.w[:-1] + self.w[-1]
-
     def predict_proba(self, X):
-        f = self.decision_scores(X)
+        f = self._check_arity(X) @ self.w[:-1] + self.w[-1]
         return sigmoid(-(self.platt_a * f + self.platt_b))
 
     def to_state(self):

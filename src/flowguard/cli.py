@@ -9,6 +9,7 @@ summary prints is also present (at full precision) in the serialized report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -50,29 +51,28 @@ _CONFIG_KEYS = {
 }
 
 
+# Synthetic-data spec keys: the SynthConfig fields each one sets, and its type.
+_SYNTH_SPEC_KEYS = {"n": (("n_benign", "n_ddos"), int), "n_benign": (("n_benign",), int),
+                    "n_ddos": (("n_ddos",), int), "features": (("n_features",), int),
+                    "sep": (("class_separation",), float),
+                    "noise": (("noise_fraction",), float), "seed": (("seed",), int)}
+
+
 def _parse_synth_spec(text):
-    """Parse "sep=6,n=2000,noise=0.01" style synthetic-data specs."""
-    values = {"n_benign": 1000, "n_ddos": 1000, "features": 22, "sep": 1.0,
-              "noise": 0.0, "seed": 0}
+    """Parse "sep=6,n=2000,noise=0.01" style specs; SynthConfig defaults the rest."""
+    values = {}
     if text.strip():
         for part in text.split(","):
             if "=" not in part:
                 raise ValueError(f"bad synth spec fragment {part!r}; expected key=value")
             key, _, raw = part.partition("=")
             key = key.strip()
-            raw = raw.strip()
-            if key == "n":
-                values["n_benign"] = values["n_ddos"] = int(raw)
-            elif key in ("n_benign", "n_ddos", "features", "seed"):
-                values[key] = int(raw)
-            elif key in ("sep", "noise"):
-                values[key] = float(raw)
-            else:
+            if key not in _SYNTH_SPEC_KEYS:
                 raise ValueError(f"unknown synth spec key {key!r}")
-    return SynthConfig(n_benign=values["n_benign"], n_ddos=values["n_ddos"],
-                       n_features=values["features"],
-                       class_separation=values["sep"],
-                       noise_fraction=values["noise"], seed=values["seed"])
+            names, kind = _SYNTH_SPEC_KEYS[key]
+            for name in names:
+                values[name] = kind(raw.strip())
+    return SynthConfig(**values)
 
 
 def _load_config_file(path):
@@ -221,10 +221,9 @@ def _cmd_inspect(args):
 
 def _cmd_synth(args):
     try:
-        cfg = SynthConfig(n_benign=args.n_benign, n_ddos=args.n_ddos,
-                          n_features=args.features, class_separation=args.sep,
-                          noise_fraction=args.noise, seed=args.seed)
-        ds = write_csv(cfg, args.out)
+        given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)
+                 if getattr(args, f.name) is not None}
+        ds = write_csv(SynthConfig(**given), args.out)
     except (ValueError, OSError) as exc:
         _fail("synth", exc)
     dist = label_distribution(ds)
@@ -301,14 +300,15 @@ def build_parser():
     inspect.set_defaults(func=_cmd_inspect)
 
     synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
-    synth.add_argument("--n-benign", type=int, default=1000)
-    synth.add_argument("--n-ddos", type=int, default=1000)
-    synth.add_argument("--features", type=int, default=22)
-    synth.add_argument("--sep", type=float, default=1.0,
+    # Flags left out take SynthConfig's defaults.
+    synth.add_argument("--n-benign", type=int)
+    synth.add_argument("--n-ddos", type=int)
+    synth.add_argument("--features", type=int, dest="n_features")
+    synth.add_argument("--sep", type=float, dest="class_separation",
                        help="class separation in feature units")
-    synth.add_argument("--noise", type=float, default=0.0,
+    synth.add_argument("--noise", type=float, dest="noise_fraction",
                        help="fraction of labels flipped")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int)
     synth.add_argument("--out", required=True, help="CSV path to write")
     synth.set_defaults(func=_cmd_synth)
 

@@ -225,19 +225,26 @@ def brier_score(y_true, probabilities) -> float:
     return float(np.mean((p - t) ** 2))
 
 
+def _metrics_report(y_true, cm, curve, probabilities) -> MetricsReport:
+    """The report of one scored partition; a None curve (one class present)
+    gives AUC 0.0, listed under ``degenerate``."""
+    core = core_metrics(cm)
+    agree = agreement_metrics(cm)
+    return MetricsReport(accuracy=core.accuracy, precision=core.precision,
+                         recall=core.recall, f1=core.f1,
+                         auc=0.0 if curve is None else curve.auc,
+                         kappa=agree.kappa, mcc=agree.mcc,
+                         brier=brier_score(y_true, probabilities), confusion=cm,
+                         degenerate=(core.degenerate
+                                     + (("auc",) if curve is None else ())
+                                     + agree.degenerate))
+
+
 def evaluate_predictions(y_true, labels, probabilities):
     """Full MetricsReport plus RocCurve for one model on one partition."""
     cm = confusion_matrix(y_true, labels)
-    core = core_metrics(cm)
-    agree = agreement_metrics(cm)
     curve = roc_auc(y_true, probabilities)
-    brier = brier_score(y_true, probabilities)
-    report = MetricsReport(accuracy=core.accuracy, precision=core.precision,
-                           recall=core.recall, f1=core.f1, auc=curve.auc,
-                           kappa=agree.kappa, mcc=agree.mcc, brier=brier,
-                           confusion=cm,
-                           degenerate=tuple(core.degenerate) + tuple(agree.degenerate))
-    return report, curve
+    return _metrics_report(y_true, cm, curve, probabilities), curve
 
 
 def evaluate_capture(y_true, labels, probabilities) -> MetricsReport:
@@ -248,13 +255,6 @@ def evaluate_capture(y_true, labels, probabilities) -> MetricsReport:
     ``degenerate`` with the other undefined metrics.
     """
     cm = confusion_matrix(y_true, labels)
-    if cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0:
-        return evaluate_predictions(y_true, labels, probabilities)[0]
-    core = core_metrics(cm)
-    agree = agreement_metrics(cm)
-    return MetricsReport(accuracy=core.accuracy, precision=core.precision,
-                         recall=core.recall, f1=core.f1, auc=0.0,
-                         kappa=agree.kappa, mcc=agree.mcc,
-                         brier=brier_score(y_true, probabilities), confusion=cm,
-                         degenerate=(tuple(core.degenerate) + ("auc",)
-                                     + tuple(agree.degenerate)))
+    two_classes = cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0
+    curve = roc_auc(y_true, probabilities) if two_classes else None
+    return _metrics_report(y_true, cm, curve, probabilities)

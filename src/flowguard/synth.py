@@ -22,8 +22,8 @@ _PROTOCOL_PROBS = (0.5, 0.3, 0.2)
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_benign: int
-    n_ddos: int
+    n_benign: int = 1000
+    n_ddos: int = 1000
     n_features: int = 22
     class_separation: float = 1.0
     noise_fraction: float = 0.0

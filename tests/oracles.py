@@ -11,8 +11,10 @@ were so that trees can be compared bit for bit. So are the per-point grid
 search, which trains every grid point in every fold, the
 ``--save-models`` writer that retrains every final model to save it, and
 the row-wise LOF, which keeps a neighbour list for every row, copies of a
-row included, and the CSV loader and category encoders that read, impute
-and encode one cell at a time.
+row included, the CSV loader and category encoders that read, impute
+and encode one cell at a time, and the full-model scoring loops of the
+forest and the boosted trees, which sum over every tree in one pass
+instead of reading the last stage of the staged loop.
 """
 
 import csv
@@ -23,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from flowguard import classifiers as clf
-from flowguard.classifiers.tree import TreeNodes, _TreeBuilder
+from flowguard.classifiers.tree import TreeNodes, _TreeBuilder, tree_apply
 from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
                                LoadError, stratified_split)
 from flowguard.distance import nearest
@@ -601,3 +603,25 @@ def apply_category_maps_cellwise(ds: Dataset, maps: dict) -> Dataset:
                 raise ValueError(f"no category map for categorical column {name!r}")
             X[:, j] = [float(v) for v in col]
     return ds.replace(X=X, category_maps=dict(maps))
+
+
+# --- full-model scoring of the tree ensembles --------------------------
+
+def forest_vote_fraction(model, X) -> np.ndarray:
+    """Fraction of a random forest's trees whose leaf value is >= 0.5."""
+    X = np.asarray(X, dtype=np.float64)
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        votes += tree_apply(tree, X) >= 0.5
+    return votes / len(model.trees)
+
+
+def boosting_raw_scores(model, X) -> np.ndarray:
+    """Raw score of boosted trees: every tree's output times the learning
+    rate, summed in tree order."""
+    X = np.asarray(X, dtype=np.float64)
+    eta = model.spec.hyperparameters["learning_rate"]
+    scores = np.zeros(X.shape[0], dtype=np.float64)
+    for tree in model.trees:
+        scores += eta * tree_apply(tree, X)
+    return scores

@@ -15,9 +15,11 @@ from flowguard.classifiers import (
     save_model,
     train,
 )
+from flowguard.classifiers.base import TrainedModel, sigmoid
 from flowguard.classifiers.mlp import max_gradient_error
 from flowguard.dataset import Dataset
-from oracles import knn_predict_brute
+from oracles import (boosting_raw_scores, forest_vote_fraction,
+                     knn_predict_brute)
 
 
 def make_ds(X, y):
@@ -117,7 +119,7 @@ def test_boosting_probability_is_sigmoid_of_score():
     rng = np.random.default_rng(6)
     ds = random_ds(rng, n=40)
     model = train(make_spec("GBT", seed=0, rounds=10), ds)
-    scores = model.decision_scores(ds.X)
+    scores = boosting_raw_scores(model, ds.X)
     probs = model.predict_proba(ds.X)
     assert np.allclose(probs, 1.0 / (1.0 + np.exp(-scores)), atol=1e-12)
 
@@ -259,6 +261,59 @@ def test_persistence_round_trip_all_kinds(tmp_path):
                               model.predict_proba(probe)), kind
         a, b = loaded.predict_set(probe), model.predict_set(probe)
         assert np.array_equal(a.labels, b.labels)
+
+
+def _reference_scores(model, X):
+    """(labels, probabilities) of RF, GBT or KNN from the reference loops."""
+    if model.kind == "KNN":
+        k = model.spec.hyperparameters["k"]
+        votes = [knn_predict_brute(model.train_X, model.train_y, q, k) for q in X]
+        return (np.array([v[0] for v in votes], dtype=np.int64),
+                np.array([v[1] for v in votes], dtype=np.float64))
+    if model.kind == "RF":
+        probs = forest_vote_fraction(model, X)
+    else:
+        probs = sigmoid(boosting_raw_scores(model, X))
+    return (probs >= 0.5).astype(np.int64), probs
+
+
+def test_staged_learners_score_as_the_reference_loops(tmp_path):
+    rng = np.random.default_rng(17)
+    # Integer coordinates keep distances exact, so KNN's neighbour order and
+    # ties are those of the python-loop reference.
+    ds = make_ds(rng.integers(0, 5, size=(60, 3)).astype(np.float64),
+                 np.resize([0, 1, 1, 0, 1], 60))
+    probe = rng.integers(-1, 6, size=(80, 3)).astype(np.float64)
+    # Six trees and k=4 give exact half votes.
+    for kind, hp in (("RF", {"n_trees": 6}), ("GBT", {"rounds": 12}),
+                     ("KNN", {"k": 4})):
+        model = train(make_spec(kind, seed=3, **hp), ds)
+        save_model(model, tmp_path / "m.json")
+        loaded, _ = load_model(tmp_path / "m.json")
+        labels, probs = _reference_scores(model, probe)
+        if kind != "GBT":
+            assert np.any(probs == 0.5), kind
+        for m in (model, loaded):
+            assert m.predict_proba(probe).tobytes() == probs.tobytes(), kind
+            out = m.predict_set(probe)
+            assert out.labels.tobytes() == labels.tobytes(), kind
+            assert out.probabilities.tobytes() == probs.tobytes(), kind
+
+
+def test_learner_without_a_scoring_method_raises():
+    class Unstaged(TrainedModel):
+        pass
+
+    class Staged(TrainedModel):
+        staged_hyperparameter = "k"
+
+    X = np.zeros((2, 3))
+    for cls, spec in ((Unstaged, make_spec("SVC")), (Staged, make_spec("KNN", k=3))):
+        model = cls(spec, 3)
+        for call in (model.predict_proba, model.predict_set,
+                     lambda X: model.staged_predict_sets(X, (1,))):
+            with pytest.raises(NotImplementedError):
+                call(X)
 
 
 def test_persistence_carries_pipeline_payload(tmp_path):

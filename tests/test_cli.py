@@ -426,6 +426,25 @@ def test_bad_synth_spec_fails(capsys):
     assert "error[load]" in capsys.readouterr().err
 
 
+def test_synth_defaults_come_from_synth_config(tmp_path, capsys):
+    from flowguard.cli import _parse_synth_spec
+    from flowguard.synth import SynthConfig, write_csv
+
+    assert _parse_synth_spec("") == SynthConfig()
+    assert _parse_synth_spec("n=50,sep=2") == SynthConfig(
+        n_benign=50, n_ddos=50, class_separation=2.0)
+    flags = ["--n-benign", "30", "--n-ddos", "20", "--features", "4", "--sep",
+             "3", "--noise", "0.1", "--seed", "5"]
+    for argv, cfg in (([], SynthConfig()),
+                      (flags, SynthConfig(n_benign=30, n_ddos=20, n_features=4,
+                                          class_separation=3.0, noise_fraction=0.1,
+                                          seed=5))):
+        assert main(["synth", *argv, "--out", str(tmp_path / "cli.csv")]) == 0
+        write_csv(cfg, tmp_path / "lib.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    capsys.readouterr()
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--frobnicate"])

@@ -9,19 +9,20 @@ tie-break and outlier-density contracts rely on. ``sq_dists`` is the dense
 reference; ``nearest`` finds the same neighbours without filling the dense
 matrix feature by feature:
 
-0. **Group.** Rows with equal bytes are one distinct row; the query side and
-   the reference side are grouped separately (``np.unique`` over a void view
-   of each row). Equal bytes give bit-equal exact distances to every other
+0. **Group.** Rows with equal bytes are one distinct row (``np.unique``
+   over a void view of each row). The reference side is grouped once; the
+   query side shares that grouping when the queries are the reference rows
+   (the same array, or ``exclude_self``) and is grouped on its own
+   otherwise. Equal bytes give bit-equal exact distances to every other
    row, so the steps below run over distinct rows only, and a reference
    group counts with its multiplicity. Raw flow captures repeat records, so
    this shrinks both sides of the screen.
-1. **Screen.** Per block of at most ``_BLOCK_CELLS`` (query, reference)
-   cells, both sides are centred on the mean of the distinct reference rows,
-   a = q - mu and b = r - mu, and the Gram identity
-   s = |a|^2 + |b|^2 - 2 a.b is evaluated with one matrix product. Centring
-   keeps |a|^2 + |b|^2 on the scale of the spread of the data rather than of
-   its offset (raw SDN byte counts reach 1e9; SMOTE and LOF run before the
-   scaler).
+1. **Screen.** Per block of distinct query rows, both sides are centred on
+   the mean of the distinct reference rows, a = q - mu and b = r - mu, and
+   the Gram identity s = |a|^2 + |b|^2 - 2 a.b is evaluated with one matrix
+   product. Centring keeps |a|^2 + |b|^2 on the scale of the spread of the
+   data rather than of its offset (raw SDN byte counts reach 1e9; SMOTE and
+   LOF run before the scaler).
 2. **Bound.** With u = 2^-53, d features and N = |a|^2 + |b|^2, every
    screened value lies within delta = c * N + tiny of the exact value e:
    - computing |a|^2, |b|^2 and a.b in any summation order (BLAS included)
@@ -45,9 +46,14 @@ matrix feature by feature:
    and every group whose lower bound s - delta exceeds T is strictly farther
    than it. Groups with s - delta <= T are the candidates; this set holds
    every row at or within the exact k-th distance, ties included.
-4. **Recompute.** Exact distances are recomputed for the candidates only, in
-   ``sq_dists``' operation order, so each is bit-identical to the dense
-   reference. The exact k-th distance is read off the candidates in
+4. **Recompute.** Exact distances are recomputed for the candidates only,
+   in one pass per block: the candidates' coordinates are gathered as two
+   (d, C) arrays, subtracted, squared and summed over axis 0. numpy adds
+   the rows of such an array one after another, and pairwise only along a
+   contiguous axis, so the sum runs feature by feature as in ``sq_dists``
+   and each value is bit-identical to the dense reference. (A single
+   column would be summed pairwise, so each block gathers one spare
+   candidate.) The exact k-th distance is read off the candidates in
    distance order, each counted with its multiplicity (the query's own group
    with one copy fewer under ``exclude_self``).
 5. **Expand.** The groups within that distance are expanded to their rows,
@@ -59,11 +65,15 @@ Exact duplicates and exact ties therefore survive the screen even though
 the screened values of tied rows may differ in their last bits: the slack
 spans the screen's error, and the final order is decided by exact values.
 
-Memory: two float64 blocks and one boolean block of distinct rows, reused
-across blocks, plus the neighbour lists. ``distinct_neighbors`` keeps one
-list per distinct query row, so a group of g identical rows costs one list
-of g entries. ``nearest`` hands every query its own list: with ``ties=True``
-a group of g identical rows alone then contributes g (g - 1) entries.
+Memory: a block holds ``_BLOCK_CELLS`` (query, reference) cells, or
+``_MIN_BLOCK_ROWS`` query rows against many reference rows. Its two float64
+screen buffers and its boolean mask are reused by every block and sized to
+stay in a core's L2 cache; its C candidates take 2 d C floats. Beyond that
+a call holds the distinct rows and the neighbour lists.
+``distinct_neighbors`` keeps one list per distinct query row, so a group of
+g identical rows costs one list of g entries. ``nearest`` hands every query
+its own list: with ``ties=True`` a group of g identical rows alone then
+contributes g (g - 1) entries.
 """
 
 from __future__ import annotations
@@ -72,8 +82,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Upper bound on the number of matrix cells held per block.
-_BLOCK_CELLS = 4_000_000
+# (query, reference) cells per block: the two float64 screen buffers of
+# 256 KB and the mask stay in a core's L2 cache.
+_BLOCK_CELLS = 32_768
+# Query rows per block at least, so that against many reference rows the
+# block still does enough arithmetic to hide its ~40 numpy calls.
+_MIN_BLOCK_ROWS = 16
 
 _U = 2.0 ** -53
 _TINY = np.finfo(np.float64).tiny
@@ -151,23 +165,29 @@ def distinct_neighbors(Q, R, k: int, *, exclude_self: bool = False,
     Arguments are those of ``nearest``, which expands this result to every
     query; see the module docstring for the steps.
     """
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
+    same = Q is R
     R = np.ascontiguousarray(R, dtype=np.float64)
+    Q = R if same else np.ascontiguousarray(Q, dtype=np.float64)
     if Q.ndim != 2 or R.ndim != 2 or Q.shape[1] != R.shape[1]:
         raise ValueError(f"nearest needs 2-D arrays of equal width, got "
                          f"{Q.shape} and {R.shape}")
     available = R.shape[0] - (1 if exclude_self else 0)
     if not 1 <= k <= available:
         raise ValueError(f"k={k} needs between 1 and {available} reference rows")
-    if exclude_self and not np.array_equal(Q, R):
+    if exclude_self and not (same or np.array_equal(Q, R)):
         raise ValueError("exclude_self needs the queries to be the reference rows")
     if not (np.isfinite(Q).all() and np.isfinite(R).all()):
         raise ValueError("nearest needs finite coordinates")
 
+    # Distinct rows, as columns for the exact recompute; queries that are
+    # the reference rows share their grouping.
     r_first, r_inv, r_count = _group_rows(R)
-    q_first, q_inv, _ = (r_first, r_inv, r_count) if exclude_self else _group_rows(Q)
-    # Distinct rows, as columns for the exact recompute.
-    Qt, Rt = Q.T.take(q_first, axis=1), R.T.take(r_first, axis=1)
+    Rt = R.T.take(r_first, axis=1)
+    if same or exclude_self:
+        q_first, q_inv, Qt = r_first, r_inv, Rt
+    else:
+        q_first, q_inv, _ = _group_rows(Q)
+        Qt = Q.T.take(q_first, axis=1)
     # Rows of each reference group, ascending, from members[m_start[j]:].
     members = np.argsort(r_inv, kind="stable")
     m_start = np.cumsum(r_count) - r_count
@@ -179,12 +199,14 @@ def distinct_neighbors(Q, R, k: int, *, exclude_self: bool = False,
         raise ValueError("coordinates too large for squared distances")
     A *= -2.0  # exact; the product below carries the factor
     c = 2.0 * (4 * Q.shape[1] + 13) * _U
+    col_slack = c * nb
     m = min(k + int(exclude_self), Rt.shape[1])
     limit = None if ties else k + int(exclude_self)
 
     offsets = [np.zeros(1, dtype=np.int64)]
     index, sq_dist = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    rows = max(1, min(Qt.shape[1], _BLOCK_CELLS // Rt.shape[1]))
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // Rt.shape[1])
+    rows = min(max(Qt.shape[1], 1), rows)
     # Two block buffers and a mask, reused by every block.
     s_buf, bound_buf = np.empty((rows, Rt.shape[1])), np.empty((rows, Rt.shape[1]))
     mask_buf = np.empty((rows, Rt.shape[1]), dtype=bool)
@@ -199,7 +221,7 @@ def distinct_neighbors(Q, R, k: int, *, exclude_self: bool = False,
         # 2-3. delta = c (|a|^2 + |b|^2) + tiny is kept as a row part and a
         # column part. Adding the row part keeps the order within a row, so
         # it joins after the partition.
-        row_slack, col_slack = c * na[start:stop] + _TINY, c * nb
+        row_slack = c * na[start:stop] + _TINY
         np.add(s, col_slack, out=bound)
         bound.partition(m - 1, axis=1)
         upper_m = bound[:, m - 1] + row_slack  # m-th smallest s + delta
@@ -207,15 +229,13 @@ def distinct_neighbors(Q, R, k: int, *, exclude_self: bool = False,
         np.subtract(s, col_slack, out=bound)
         np.less_equal(bound, (upper_m + row_slack)[:, None], out=mask)
         qi, ci = np.nonzero(mask)
-        # 4. Exact recompute in sq_dists' order, through two reused buffers.
-        qg = qi + start
-        exact, a, b = np.zeros(qi.size), np.empty(qi.size), np.empty(qi.size)
-        for f in range(Qt.shape[0]):
-            np.take(Qt[f], qg, out=a)
-            np.take(Rt[f], ci, out=b)
-            np.subtract(a, b, out=a)
-            np.multiply(a, a, out=a)
-            exact += a
+        # 4. One exact pass over the (d, C) candidate coordinates. numpy sums
+        # axis 0 of a C-contiguous array row after row, sq_dists' order, but
+        # a lone column pairwise; a spare last candidate keeps C above 1.
+        diff = Qt.take(np.append(qi + start, 0), axis=1)
+        diff -= Rt.take(np.append(ci, 0), axis=1)
+        diff *= diff
+        exact = diff.sum(axis=0)[:-1]
         # (query, distance) order from one integer key; equal distances may
         # come in any order here, as step 5 orders their rows by index.
         rank = np.empty(qi.size, dtype=np.int64)

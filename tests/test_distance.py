@@ -19,12 +19,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from flowguard import distance  # noqa: E402
 from flowguard.dataset import Dataset  # noqa: E402
-from flowguard.distance import nearest, sq_dists  # noqa: E402
+from flowguard.distance import distinct_neighbors, nearest, sq_dists  # noqa: E402
 from flowguard.preprocess import (LOF_DENSITY_EPS, SmoteConfig,  # noqa: E402
                                   lof_scores, smote_oversample)
 from oracles import lof_scores_rowwise  # noqa: E402
 
-LAYOUTS = ("normal", "grid", "duplicates", "offset", "byte_counts")
+LAYOUTS = ("normal", "grid", "duplicates", "offset", "byte_counts", "scales")
+# Feature counts up to 24, 22 (the SDN flow features) always among them:
+# numpy sums 8 or more contiguous values pairwise, so only widths of 8 and
+# up tell the exact pass's feature order from another.
+WIDTHS = st.one_of(st.just(22), st.integers(1, 24))
 
 
 def make_rows(rng, n, d, layout):
@@ -38,6 +42,8 @@ def make_rows(rng, n, d, layout):
         return base[rng.integers(0, base.shape[0], size=n)]
     if layout == "offset":  # large common offset: the centring and bound path
         return 1e6 + rng.integers(0, 4, size=(n, d)) * 0.25
+    if layout == "scales":  # columns whose scales differ by orders of magnitude
+        return rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, size=d)
     # raw flow statistics: one column of byte counts near 1e9
     X = rng.integers(0, 50, size=(n, d)).astype(np.float64)
     X[:, 0] = 1e9 + rng.integers(0, 3, size=n) * 1500.0
@@ -47,7 +53,7 @@ def make_rows(rng, n, d, layout):
 @st.composite
 def neighbor_cases(draw):
     layout = draw(st.sampled_from(LAYOUTS))
-    d = draw(st.integers(1, 6))
+    d = draw(WIDTHS)
     m = draw(st.integers(2, 40))
     exclude_self = draw(st.booleans())
     n = m if exclude_self else draw(st.integers(0, 30))
@@ -60,6 +66,11 @@ def neighbor_cases(draw):
         Q = np.vstack([R, make_rows(rng, n, d, layout)])[rng.permutation(m + n)[:n]]
     k = draw(st.integers(1, m - 1 if exclude_self else m))
     return Q, R, k, exclude_self, draw(st.booleans()), draw(st.integers(1, 200))
+
+
+def small_blocks(cells):
+    """Blocks of ``cells`` cells, down to one query row: many blocks per call."""
+    return mock.patch.multiple(distance, _BLOCK_CELLS=cells, _MIN_BLOCK_ROWS=1)
 
 
 def dense_neighbors(Q, R, k, exclude_self, ties):
@@ -81,8 +92,7 @@ def dense_neighbors(Q, R, k, exclude_self, ties):
 @given(neighbor_cases())
 def test_nearest_matches_dense_oracle(case):
     Q, R, k, exclude_self, ties, block_cells = case
-    # small block budgets split the queries over many blocks
-    with mock.patch.object(distance, "_BLOCK_CELLS", block_cells):
+    with small_blocks(block_cells):
         got = nearest(Q, R, k, exclude_self=exclude_self, ties=ties)
     offsets, index, dists = dense_neighbors(Q, R, k, exclude_self, ties)
     assert np.array_equal(got.offsets, offsets)
@@ -147,7 +157,7 @@ def as_dataset(X, y=None):
 def lof_cases(draw):
     n = draw(st.integers(3, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = make_rows(rng, n, draw(st.integers(1, 5)), draw(st.sampled_from(LAYOUTS)))
+    X = make_rows(rng, n, draw(WIDTHS), draw(st.sampled_from(LAYOUTS)))
     return X, draw(st.integers(1, n - 1)), rng.permutation(n)
 
 
@@ -192,14 +202,19 @@ def repeated_rows(draw, max_rows=300):
     """Rows made of a few distinct rows, each repeated 1 to 50 times.
 
     The distinct rows sit on a small grid, so different groups often lie at
-    equal distances; some zero coordinates of some copies are -0.0, which
-    makes byte-distinct rows that are equal in value; labels are drawn per
-    copy, so copies of one row can disagree.
+    equal distances; the grid's columns may differ in scale by powers of
+    ten, whose squares are inexact, so the order of the feature sum shows;
+    some zero coordinates of some copies are -0.0, which makes byte-distinct
+    rows that are equal in value; labels are drawn per copy, so copies of
+    one row can disagree.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 4))
+    d = draw(WIDTHS)
     copies = draw(st.lists(st.integers(1, 50), min_size=1, max_size=8))
-    base = rng.integers(-1, 2, size=(len(copies), d)) * draw(st.sampled_from((1.0, 0.5, 1e9)))
+    scale = draw(st.sampled_from((1.0, 0.5, 1e9, "columns")))
+    if scale == "columns":
+        scale = 10.0 ** rng.integers(-3, 4, size=d)
+    base = rng.integers(-1, 2, size=(len(copies), d)) * scale
     X = np.repeat(base, copies, axis=0)[:max_rows]
     if draw(st.booleans()):
         X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
@@ -221,12 +236,76 @@ def test_nearest_matches_dense_oracle_on_repeated_rows(rows, data):
     if available < 1:
         return
     k = data.draw(st.integers(1, available))
-    with mock.patch.object(distance, "_BLOCK_CELLS", data.draw(st.integers(1, 400))):
+    with small_blocks(data.draw(st.integers(1, 400))):
         got = nearest(Q, R, k, exclude_self=exclude_self, ties=ties)
     offsets, index, dists = dense_neighbors(Q, R, k, exclude_self, ties)
     assert got.offsets.tobytes() == offsets.astype(np.int64).tobytes()
     assert got.index.tobytes() == index.astype(np.int64).tobytes()
     assert got.sq_dist.tobytes() == dists.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LAYOUTS), WIDTHS, st.integers(1, 40), st.booleans(),
+       st.integers(1, 400), st.integers(0, 2**32 - 1), st.data())
+def test_rows_against_themselves_share_one_grouping(layout, d, n, ties, cells, seed,
+                                                      data):
+    # KNN scores its own training rows as nearest(X, X, k): the queries are
+    # the reference array itself, without exclude_self.
+    X = make_rows(np.random.default_rng(seed), n, d, layout)
+    k = data.draw(st.integers(1, n))
+    with small_blocks(cells):
+        shared = nearest(X, X, k, ties=ties)
+        apart = nearest(X, X.copy(), k, ties=ties)
+    offsets, index, dists = dense_neighbors(X, X, k, False, ties)
+    assert np.array_equal(shared.offsets, offsets)
+    assert np.array_equal(shared.index, index)
+    assert shared.sq_dist.tobytes() == dists.tobytes()
+    for got, want in zip(shared, apart):
+        assert got.tobytes() == want.tobytes()
+
+
+def duplicated_flows(n=700, d=22):
+    """n rows of d features drawn with replacement from n // 2 distinct rows."""
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((n // 2, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    return base[rng.integers(0, base.shape[0], size=n)]
+
+
+@pytest.mark.parametrize("exclude_self, ties, fresh", [
+    (True, True, False),  # LOF
+    (True, False, False),  # SMOTE
+    (False, False, False),  # KNN scoring its training rows
+    (False, True, True),  # KNN scoring other rows, with ties
+])
+def test_block_size_changes_no_byte(exclude_self, ties, fresh):
+    X = duplicated_flows()
+    Q = duplicated_flows(300) + 0.01 if fresh else X
+    results = []
+    for cells, min_rows in ((1, 1), (distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS),
+                            (4_000_000, distance._MIN_BLOCK_ROWS)):
+        with mock.patch.multiple(distance, _BLOCK_CELLS=cells,
+                                 _MIN_BLOCK_ROWS=min_rows):
+            results.append(distinct_neighbors(Q, X, 20, exclude_self=exclude_self,
+                                              ties=ties))
+    for other in results[1:]:
+        for got, want in zip(other, results[0]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_scoring_many_flows_stays_in_cache_sized_blocks():
+    # 3,000 fresh flows against a 250-row KNN model: memory is the blocks'
+    # working set and the lists, not a screen of every (query, row) pair.
+    rng = np.random.default_rng(5)
+    Q, R = rng.standard_normal((3000, 22)), rng.standard_normal((250, 22))
+    tracemalloc.start()
+    try:
+        got = nearest(Q, R, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, index, _ = dense_neighbors(Q[:10], R, 7, False, False)
+    assert np.array_equal(got.index[:70], index)
+    assert peak < 4e6
 
 
 @settings(max_examples=150, deadline=None)

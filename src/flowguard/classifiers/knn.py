@@ -41,7 +41,7 @@ class KnnModel(TrainedModel):
         wanted = self._stage_values(values)
         # Neighbours come in (distance, index) order, so the k nearest are
         # the first k columns of the largest requested k.
-        nn = nearest(X, self.train_X, max(wanted)).index.reshape(-1, max(wanted))
+        nn = nearest(X, self.train_X, max(wanted))
         votes_upto = np.cumsum(self.train_y[nn], axis=1)
         first = self.train_y[nn[:, 0]]
         out = {}

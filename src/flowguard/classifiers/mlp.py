@@ -44,8 +44,7 @@ def gradients(weights, biases, X, y):
     n = X.shape[0]
     logits, activations = _forward_logits(weights, biases, X)
 
-    grad_w = [np.zeros_like(W) for W in weights]
-    grad_b = [np.zeros_like(b) for b in biases]
+    grad_w, grad_b = [None] * len(weights), [None] * len(biases)
     delta = ((sigmoid(logits) - y) / n)[:, None]
     for i in range(len(weights) - 1, -1, -1):
         grad_w[i] = activations[i].T @ delta

@@ -18,15 +18,12 @@ FORMAT_VERSION = 1
 
 
 def save_model(model, path, pipeline: dict | None = None) -> None:
-    hp = {}
-    for key, value in model.spec.hyperparameters.items():
-        hp[key] = list(value) if isinstance(value, tuple) else value
     doc = {
         "format": FORMAT_TAG,
         "version": FORMAT_VERSION,
         "kind": model.spec.kind,
         "seed": model.spec.seed,
-        "hyperparameters": hp,
+        "hyperparameters": model.spec.hyperparameters,
         "feature_arity": model.feature_arity,
         "state": model.to_state(),
     }
@@ -38,14 +35,18 @@ def save_model(model, path, pipeline: dict | None = None) -> None:
 
 
 def load_model(path):
-    """Returns (model, pipeline_dict_or_None)."""
+    """Returns (model, pipeline_dict_or_None); ValueError if the file is not
+    a well-formed model file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path!r} is not a {FORMAT_TAG} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')!r}")
-    spec = ModelSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"],
-                     seed=doc["seed"])
-    model = spec.learner.from_state(spec, doc["feature_arity"], doc["state"])
+    try:
+        if doc.get("format") != FORMAT_TAG:
+            raise ValueError(f"{path!r} is not a {FORMAT_TAG} file")
+        if doc.get("version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported model file version {doc.get('version')!r}")
+        spec = ModelSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"],
+                         seed=doc["seed"])
+        model = spec.learner.from_state(spec, doc["feature_arity"], doc["state"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model file {path!r}: {exc!r}") from exc
     return model, doc.get("pipeline")

@@ -14,6 +14,10 @@ import numpy as np
 from ..dataset import stratified_fold_indices
 from .base import TrainedModel, sigmoid
 
+_PLATT_ITERATIONS = 100  # Newton steps of the sigmoid fit, at most
+_PLATT_MIN_STEP = 1e-10  # its line search gives up below this step
+_PLATT_RIDGE = 1e-12  # added to its Hessian's diagonal
+
 
 def _fit_weights(X, y, reg_lambda, epochs, seed):
     """Stochastic subgradient descent on the regularized hinge objective.
@@ -38,7 +42,7 @@ def _fit_weights(X, y, reg_lambda, epochs, seed):
     return w
 
 
-def _fit_platt(decision, y, max_iter=100, min_step=1e-10, ridge=1e-12):
+def _fit_platt(decision, y):
     """Sigmoid parameters (a, b) such that P(y=1|f) = 1 / (1 + exp(a f + b)).
 
     Newton's method with backtracking line search on the regularized
@@ -61,13 +65,13 @@ def _fit_platt(decision, y, max_iter=100, min_step=1e-10, ridge=1e-12):
     a = 0.0
     b = np.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = objective(a, b)
-    for _ in range(max_iter):
+    for _ in range(_PLATT_ITERATIONS):
         z = a * f + b
         p = sigmoid(-z)  # model probability of class 1
         q = 1.0 - p
         d2 = p * q
-        h11 = float(np.sum(f * f * d2)) + ridge
-        h22 = float(np.sum(d2)) + ridge
+        h11 = float(np.sum(f * f * d2)) + _PLATT_RIDGE
+        h22 = float(np.sum(d2)) + _PLATT_RIDGE
         h21 = float(np.sum(f * d2))
         d1 = t - p
         g1 = float(np.sum(f * d1))
@@ -79,7 +83,7 @@ def _fit_platt(decision, y, max_iter=100, min_step=1e-10, ridge=1e-12):
         db = -(h11 * g2 - h21 * g1) / det
         descent = g1 * da + g2 * db
         step = 1.0
-        while step >= min_step:
+        while step >= _PLATT_MIN_STEP:
             na, nb = a + step * da, b + step * db
             nf = objective(na, nb)
             if nf < fval + 1e-4 * step * descent:

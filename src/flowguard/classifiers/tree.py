@@ -158,16 +158,15 @@ def _grow(X, order, split_node) -> TreeNodes:
 
 
 def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
-                    rng, importance=None, order=None) -> TreeNodes:
+                    rng, importance, order) -> TreeNodes:
     """Greedy CART classification tree minimizing Gini impurity.
 
     ``n_candidate_features`` features are sampled per node without
     replacement; when none of them admits a positive-gain split the search
     widens to all features before giving up, so rows that differ anywhere
     can always be separated. Leaf value is the node's positive fraction.
-    ``importance`` (length-d array, optional) accumulates per-feature
-    impurity decrease weighted by node fraction. ``order`` is
-    ``presort(X)``, computed here when not given.
+    ``importance`` (length-d array) accumulates per-feature impurity
+    decrease weighted by node fraction. ``order`` is ``presort(X)``.
     """
     n, d = X.shape
     everything = np.arange(d)
@@ -203,11 +202,10 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
         if split is None:
             return p, None
         f, thr, dec = split
-        if importance is not None:
-            importance[f] += dec * (n_node / n)
+        importance[f] += dec * (n_node / n)
         return p, (f, thr)
 
-    return _grow(X, presort(X) if order is None else order, split_node)
+    return _grow(X, order, split_node)
 
 
 def build_newton_tree(X, g, h, max_depth, reg_lambda, order) -> TreeNodes:

@@ -236,7 +236,7 @@ def _cmd_evaluate(args):
     try:
         model, pipeline = clf.load_model(args.model)
         state = PipelineState.from_dict(pipeline)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail("model", exc)
     label_column = args.label_column or pipeline.get("label_column",
                                                      DEFAULT_LABEL_COLUMN)

@@ -98,8 +98,6 @@ class LabelDistribution:
 class SplitPair:
     train: Dataset
     test: Dataset
-    ratio: float
-    seed: int
 
 
 def _floats(cells):
@@ -338,8 +336,7 @@ def stratified_split(ds: Dataset, ratio: float, seed: int) -> SplitPair:
         test_idx.append(perm[n_train:])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
-    return SplitPair(train=ds.take(train_idx), test=ds.take(test_idx),
-                     ratio=ratio, seed=seed)
+    return SplitPair(train=ds.take(train_idx), test=ds.take(test_idx))
 
 
 def stratified_fold_indices(y, n_folds: int, seed: int):

@@ -57,9 +57,10 @@ matrix feature by feature:
    distance order, each counted with its multiplicity (the query's own group
    with one copy fewer under ``exclude_self``).
 5. **Expand.** The groups within that distance are expanded to their rows,
-   sorted by (exact squared distance, row index). Every query of a distinct
-   row takes that list, less itself under ``exclude_self``, and keeps the
-   first k, or, with ``ties=True``, all of it.
+   sorted by (exact squared distance, row index). With ``ties=True`` a
+   distinct row keeps all of that list (LOF's k-distance neighbourhood),
+   else its first k (k + 1 under ``exclude_self``). ``nearest`` gives each
+   query its row's list, less itself under ``exclude_self``, cut to k.
 
 Exact duplicates and exact ties therefore survive the screen even though
 the screened values of tied rows may differ in their last bits: the slack
@@ -70,10 +71,9 @@ Memory: a block holds ``_BLOCK_CELLS`` (query, reference) cells, or
 screen buffers and its boolean mask are reused by every block and sized to
 stay in a core's L2 cache; its C candidates take 2 d C floats. Beyond that
 a call holds the distinct rows and the neighbour lists.
-``distinct_neighbors`` keeps one list per distinct query row, so a group of
-g identical rows costs one list of g entries. ``nearest`` hands every query
-its own list: with ``ties=True`` a group of g identical rows alone then
-contributes g (g - 1) entries.
+``distinct_neighbors`` keeps one list per distinct query row, so with
+``ties=True`` a group of g identical rows costs one list of g entries, not
+g (g - 1). ``nearest`` returns k entries per query.
 """
 
 from __future__ import annotations
@@ -91,19 +91,6 @@ _MIN_BLOCK_ROWS = 16
 
 _U = 2.0 ** -53
 _TINY = np.finfo(np.float64).tiny
-
-
-class Neighbors(NamedTuple):
-    """Neighbour lists of every query, flattened in query order.
-
-    Query i owns ``index[offsets[i]:offsets[i + 1]]`` with the exact squared
-    distances ``sq_dist`` at the same positions, sorted by (squared distance,
-    reference row index).
-    """
-
-    offsets: np.ndarray
-    index: np.ndarray
-    sq_dist: np.ndarray
 
 
 class DistinctNeighbors(NamedTuple):
@@ -162,8 +149,9 @@ def distinct_neighbors(Q, R, k: int, *, exclude_self: bool = False,
                        ties: bool = False) -> DistinctNeighbors:
     """Exact neighbourhoods of the distinct rows of Q among the rows of R.
 
-    Arguments are those of ``nearest``, which expands this result to every
-    query; see the module docstring for the steps.
+    ``k`` and ``exclude_self`` are those of ``nearest``. With ``ties=True``
+    a row's list holds every reference row within its exact k-th distance,
+    which can be more than k; see the module docstring for the steps.
     """
     same = Q is R
     R = np.ascontiguousarray(R, dtype=np.float64)
@@ -271,18 +259,16 @@ def distinct_neighbors(Q, R, k: int, *, exclude_self: bool = False,
                              np.concatenate(index), np.concatenate(sq_dist))
 
 
-def nearest(Q, R, k: int, *, exclude_self: bool = False,
-            ties: bool = False) -> Neighbors:
-    """Exact k nearest rows of R for every row of Q.
+def nearest(Q, R, k: int, *, exclude_self: bool = False) -> np.ndarray:
+    """Exact k nearest rows of R for every row of Q, as a (len(Q), k) matrix
+    of row indices.
 
-    Each query gets its k nearest reference rows, ordered by (exact squared
-    distance, row index), so distance ties go to the lower row index. With
-    ``ties=True`` it gets every row within its exact k-th distance instead,
-    which can be more than k. ``exclude_self`` skips reference row i for
-    query row i (Q and R are the same rows). See the module docstring for
-    how the Gram screen keeps this exact.
+    Each row is ordered by (exact squared distance, row index), so distance
+    ties go to the lower row index. ``exclude_self`` skips reference row i
+    for query row i (Q and R are the same rows). See the module docstring
+    for how the Gram screen keeps this exact.
     """
-    nb = distinct_neighbors(Q, R, k, exclude_self=exclude_self, ties=ties)
+    nb = distinct_neighbors(Q, R, k, exclude_self=exclude_self)
     # Every query takes its distinct row's list ...
     length = np.diff(nb.offsets)[nb.inverse]
     pos = _segment_positions(nb.offsets[:-1][nb.inverse], length)
@@ -291,8 +277,5 @@ def nearest(Q, R, k: int, *, exclude_self: bool = False,
         keep = nb.index[pos] != owner
         length = np.bincount(owner[keep], minlength=nb.inverse.size)
         pos = pos[keep]
-    if not ties:  # ... and its first k.
-        pos = pos[_segment_heads(length, k)]
-        length = np.minimum(length, k)
-    offsets = np.concatenate(([0], np.cumsum(length)))
-    return Neighbors(offsets, nb.index[pos], nb.sq_dist[pos])
+    # ... and its first k.
+    return nb.index[pos[_segment_heads(length, k)]].reshape(-1, k)

@@ -17,9 +17,9 @@ spec.seed + f that every fold model uses, with the largest value of the
 group; every value is scored from its staged predictions, which are exactly
 those of a model trained with that value alone. A group whose fit
 or scoring raises ValueError falls back to one fit per point, so each point
-succeeds or fails on its own. ``kfold_cv`` scores a single spec the same
-way. Both take prebuilt folds (``build_fold_datasets``), so every model of
-a track is searched on one set of fold pipelines.
+succeeds or fails on its own. The search takes prebuilt folds
+(``build_fold_datasets``), so every model of a track is searched on one set
+of fold pipelines.
 
 Given its track's folds, each (track, learner) search is independent of the
 others. With several learners and CPUs they run side by side in forked
@@ -217,10 +217,10 @@ class PipelineState:
         """The ``pipeline`` entry of a saved model bundle."""
         return {
             "scaler": scaler_to_dict(self.scaler),
-            "category_maps": {k: list(v) for k, v in self.category_maps.items()},
+            "category_maps": self.category_maps,
             "label_column": label_column,
-            "feature_names": _listed(self.feature_names),
-            "selected": _listed(self.selected),
+            "feature_names": self.feature_names,
+            "selected": self.selected,
         }
 
     @classmethod
@@ -246,10 +246,6 @@ class PipelineState:
             raise ValueError(f"malformed model pipeline: {exc!r}") from exc
         return cls(scaler=scaler, selected=selected, feature_names=names,
                    category_maps=maps)
-
-
-def _listed(values):
-    return None if values is None else list(values)
 
 
 def _tupled(values, kind):
@@ -360,15 +356,6 @@ def _cross_validate(specs, fold_datasets) -> list:
     return [CvResult(mean_accuracy=sum(r.validation_accuracy for r in results)
                      / len(results), folds=tuple(results))
             for results in per_spec]
-
-
-def kfold_cv(spec, fold_datasets) -> CvResult:
-    """Stratified k-fold cross-validation accuracy for one model spec.
-
-    The fold-f model trains under seed spec.seed + f on the fold's processed
-    training part and is scored on the held-out part.
-    """
-    return _cross_validate([spec], fold_datasets)[0]
 
 
 def expand_grid(grid: dict):
@@ -546,7 +533,7 @@ def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
     reports = []
     for t, (track, (proc_train, _, state, _)) in enumerate(zip(tracks, prepared)):
         stages = (["smote"] if track == "balanced" else []) + ["lof", "scale"]
-        if cfg.select_top_m is not None:
+        if state.selected is not None:
             stages.append("select")
         names = split.train.feature_names
         constant = tuple(names[i] for i in np.flatnonzero(state.scaler.constant_mask))
@@ -614,10 +601,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "split_ratio": cfg.split_ratio,
         "cv_folds": cfg.cv_folds,
         "seed": cfg.seed,
-        "tracks": list(cfg.tracks),
+        "tracks": cfg.tracks,
         "models": [clf.learner(k).report_name for k in cfg.models],
-        "grids": {clf.learner(k).report_name: {p: list(v) for p, v in grid.items()}
-                  for k, grid in cfg.grids.items()},
+        "grids": {clf.learner(k).report_name: grid for k, grid in cfg.grids.items()},
         "smote": {"k_neighbors": cfg.smote.k_neighbors,
                   "target_ratio": cfg.smote.target_ratio, "seed": cfg.smote.seed},
         "lof": {"k_neighbors": cfg.lof.k_neighbors, "threshold": cfg.lof.threshold},
@@ -626,12 +612,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _model_to_dict(m: ModelResult) -> dict:
-    hp = {k: (list(v) if isinstance(v, tuple) else v)
-          for k, v in m.hyperparameters.items()}
     return {
         "name": m.name,
         "kind": m.kind,
-        "hyperparameters": hp,
+        "hyperparameters": m.hyperparameters,
         "training_accuracy": m.training_accuracy,
         "mean_cv_accuracy": m.mean_cv_accuracy,
         "folds": [{"fold": fr.fold, "train_accuracy": fr.train_accuracy,
@@ -649,18 +633,17 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "version": 1,
         "generated_at": report.generated_at,
         "config": config_to_dict(report.config),
-        "dataset": dict(report.dataset_info),
-        "split": dict(report.split_info),
+        "dataset": report.dataset_info,
+        "split": report.split_info,
         "tracks": [{
             "track": t.track,
-            "pipeline": list(t.pipeline),
+            "pipeline": t.pipeline,
             "preprocessing": {
                 "smote_added": t.smote_added,
                 "lof_removed": t.lof_removed,
                 "train_rows_after": t.train_rows,
-                "constant_features": list(t.constant_features),
-                "selected_features": (None if t.selected_features is None
-                                      else list(t.selected_features)),
+                "constant_features": t.constant_features,
+                "selected_features": t.selected_features,
             },
             "models": [_model_to_dict(m) for m in t.models],
         } for t in report.tracks],

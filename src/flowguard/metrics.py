@@ -103,7 +103,7 @@ class MetricsReport:
             "brier": self.brier,
             "confusion": {"tp": self.confusion.tp, "tn": self.confusion.tn,
                           "fp": self.confusion.fp, "fn": self.confusion.fn},
-            "degenerate": list(self.degenerate),
+            "degenerate": self.degenerate,
         }
 
 

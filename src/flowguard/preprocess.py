@@ -152,7 +152,7 @@ def smote_oversample(train: Dataset, cfg: SmoteConfig) -> Dataset:
     k = cfg.k_neighbors
     # k nearest minority neighbors per minority row, self excluded, exact
     # distance ties in row-index order.
-    neighbors = nearest(Xm, Xm, k, exclude_self=True).index.reshape(n_min, k)
+    neighbors = nearest(Xm, Xm, k, exclude_self=True)
 
     rng = np.random.default_rng(cfg.seed)
     synth = np.empty((needed, train.n_features), dtype=np.float64)

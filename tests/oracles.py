@@ -28,7 +28,7 @@ from flowguard import classifiers as clf
 from flowguard.classifiers.tree import TreeNodes, _TreeBuilder, tree_apply
 from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
                                LoadError, stratified_split)
-from flowguard.distance import nearest
+from flowguard.distance import sq_dists
 from flowguard.experiment import (CvResult, FoldResult, GridPoint,
                                   GridSearchOutcome, _accuracy, expand_grid,
                                   fit_track_pipeline)
@@ -144,26 +144,29 @@ def lof_scores_rowwise(ds: Dataset, k_neighbors: int) -> np.ndarray:
     the score is the mean ratio of neighbor densities to own density.
     Scores near 1 mean inlier.
 
-    Only the k-distance neighborhoods are needed (Breunig et al., 2000), so
-    one exact nearest-neighbor pass finds them all; k-distances, densities
-    and scores are then read off those lists, with no further pass over all
-    row pairs.
+    Every row's neighborhood is read off the dense exact distance matrix
+    (``sq_dists``) in stable argsort order, (distance, row index), without
+    the neighbour kernel that ``lof_scores`` uses; k-distances, densities and
+    scores are then summed over those lists in that order.
     """
     _require_numeric(ds, "lof_scores")
     n = ds.n_rows
     if not 0 < k_neighbors < n:
         raise ValueError(f"k_neighbors must lie in [1, {n - 1}], got {k_neighbors}")
-    # One pass finds every row's tie-inclusive neighborhood, sorted by
-    # distance; its last member sits at the k-distance.
-    nb = nearest(ds.X, ds.X, k_neighbors, exclude_self=True, ties=True)
-    count = np.diff(nb.offsets)
+    D = sq_dists(ds.X, ds.X)
+    np.fill_diagonal(D, np.inf)
+    order = np.argsort(D, axis=1, kind="stable")
+    kd2 = D[np.arange(n), order[:, k_neighbors - 1]]
+    # Each row's tie-inclusive neighborhood: the sorted prefix within kd2.
+    lists = [row_order[D[i, row_order] <= kd2[i]] for i, row_order in enumerate(order)]
+    count = np.array([len(members) for members in lists])
+    index = np.concatenate(lists)
     owner = np.repeat(np.arange(n), count)
-    kd2 = nb.sq_dist[nb.offsets[1:] - 1]
-    reach = np.sqrt(np.maximum(nb.sq_dist, kd2[nb.index]))
+    reach = np.sqrt(np.maximum(D[owner, index], kd2[index]))
     mean_reach = np.bincount(owner, weights=reach, minlength=n) / count
     with np.errstate(divide="ignore"):
         lrd = np.where(mean_reach == 0.0, 1.0 / LOF_DENSITY_EPS, 1.0 / mean_reach)
-    neighbor_lrd = np.bincount(owner, weights=lrd[nb.index], minlength=n)
+    neighbor_lrd = np.bincount(owner, weights=lrd[index], minlength=n)
     return neighbor_lrd / count / lrd
 
 

@@ -305,6 +305,24 @@ def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, cap
     assert err.startswith("error[model]: malformed model pipeline"), err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1, 2],
+    lambda doc: {**doc, "hyperparameters": [1]},
+    lambda doc: {**doc, "state": [1]},
+    lambda doc: {k: v for k, v in doc.items() if k != "feature_arity"},
+], ids=["list", "hyperparameters_list", "state_list", "no_arity"])
+def test_evaluate_refuses_malformed_model_file(corpus, finished_run, tmp_path, capsys,
+                                              edit):
+    doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(bundle), "--data", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[model]: malformed model file"), err
+    assert str(bundle) in err
+
+
 def test_evaluate_scores_scaler_only_bundle(corpus, finished_run, tmp_path, capsys):
     # a pipeline of a scaler alone scores a capture that is already numeric
     doc = json.loads((finished_run / "model_knn_imbalanced.json").read_text())

@@ -73,19 +73,40 @@ def small_blocks(cells):
     return mock.patch.multiple(distance, _BLOCK_CELLS=cells, _MIN_BLOCK_ROWS=1)
 
 
-def dense_neighbors(Q, R, k, exclude_self, ties):
-    """Neighbour lists from the dense exact matrix and a stable argsort."""
+def dense_neighbors(Q, R, k, exclude_self):
+    """``nearest`` from the dense exact matrix and a stable argsort."""
     D = sq_dists(Q, R)
     if exclude_self:
         np.fill_diagonal(D, np.inf)
-    offsets, index, dists = [0], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for row in D:
-        order = np.argsort(row, kind="stable")
-        chosen = order[row[order] <= row[order[k - 1]]] if ties else order[:k]
-        offsets.append(offsets[-1] + chosen.size)
-        index.append(chosen)
-        dists.append(row[chosen])
-    return np.asarray(offsets), np.concatenate(index), np.concatenate(dists)
+    return np.argsort(D, axis=1, kind="stable")[:, :k].astype(np.int64)
+
+
+def assert_dense_lists(got, Q, R, k, exclude_self, ties):
+    """``distinct_neighbors`` against the dense exact matrix, query by query.
+
+    A query's list is every reference row within its exact k-th distance,
+    in stable argsort order, its own row included but left out of the count
+    under ``exclude_self``; all of them with ``ties``, else the first k
+    (k + 1 under ``exclude_self``). Queries of one distinct row share its
+    list, and ``first`` names the lowest of them.
+    """
+    D = sq_dists(Q, R)
+    others = D.copy()
+    if exclude_self:
+        np.fill_diagonal(others, np.inf)
+    kth = np.sort(others, axis=1)[:, k - 1]
+    rows = [row.tobytes() for row in np.ascontiguousarray(Q)]
+    assert len({rows[i] for i in got.first}) == got.first.size
+    assert np.array_equal(got.inverse[got.first], np.arange(got.first.size))
+    assert got.offsets.size == got.first.size + 1
+    for i, u in enumerate(got.inverse):
+        assert rows[got.first[u]] == rows[i] and got.first[u] <= i
+        order = np.argsort(D[i], kind="stable")
+        want = order[D[i, order] <= kth[i]]
+        want = want if ties else want[:k + exclude_self]
+        lo, hi = got.offsets[u], got.offsets[u + 1]
+        assert got.index[lo:hi].tobytes() == want.astype(np.int64).tobytes()
+        assert got.sq_dist[lo:hi].tobytes() == D[i, want].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -93,13 +114,11 @@ def dense_neighbors(Q, R, k, exclude_self, ties):
 def test_nearest_matches_dense_oracle(case):
     Q, R, k, exclude_self, ties, block_cells = case
     with small_blocks(block_cells):
-        got = nearest(Q, R, k, exclude_self=exclude_self, ties=ties)
-    offsets, index, dists = dense_neighbors(Q, R, k, exclude_self, ties)
-    assert np.array_equal(got.offsets, offsets)
-    assert np.array_equal(got.index, index)
-    assert got.sq_dist.tobytes() == dists.tobytes()
-    counts = np.diff(got.offsets)
-    assert np.all(counts >= k) if ties else np.all(counts == k)
+        got = nearest(Q, R, k, exclude_self=exclude_self)
+        lists = distinct_neighbors(Q, R, k, exclude_self=exclude_self, ties=ties)
+    assert got.dtype == np.int64 and got.shape == (Q.shape[0], k)
+    assert got.tobytes() == dense_neighbors(Q, R, k, exclude_self).tobytes()
+    assert_dense_lists(lists, Q, R, k, exclude_self, ties)
 
 
 def test_nearest_keeps_exact_ties_the_screen_cannot_see():
@@ -114,8 +133,9 @@ def test_nearest_keeps_exact_ties_the_screen_cannot_see():
     A, B = q - R.mean(axis=0), R - R.mean(axis=0)
     gram = A @ A + np.einsum("ij,ij->i", B, B) - 2 * B @ A
     assert gram[0] > gram.min()
-    assert nearest(q[None], R, 1).index.tolist() == [0]
-    got = nearest(q[None], R, 1, ties=True)
+    assert nearest(q[None], R, 1).tolist() == [[0]]
+    assert nearest(q[None], R, 3).tolist() == [[0, 1, 2]]
+    got = distinct_neighbors(q[None], R, 1, ties=True)
     assert got.index.tolist() == [0, 1, 2]
     assert got.sq_dist.tobytes() == exact.tobytes()
 
@@ -130,7 +150,8 @@ def test_nearest_rejects_bad_input():
         nearest(X, np.zeros((4, 3)), 1)
     with pytest.raises(ValueError, match="finite"):
         nearest(np.array([[np.nan, 0.0]]), X, 1)
-    empty = nearest(np.zeros((0, 2)), X, 2)
+    assert nearest(np.zeros((0, 2)), X, 2).shape == (0, 2)
+    empty = distinct_neighbors(np.zeros((0, 2)), X, 2, ties=True)
     assert empty.offsets.tolist() == [0] and empty.index.size == 0
 
 
@@ -237,11 +258,10 @@ def test_nearest_matches_dense_oracle_on_repeated_rows(rows, data):
         return
     k = data.draw(st.integers(1, available))
     with small_blocks(data.draw(st.integers(1, 400))):
-        got = nearest(Q, R, k, exclude_self=exclude_self, ties=ties)
-    offsets, index, dists = dense_neighbors(Q, R, k, exclude_self, ties)
-    assert got.offsets.tobytes() == offsets.astype(np.int64).tobytes()
-    assert got.index.tobytes() == index.astype(np.int64).tobytes()
-    assert got.sq_dist.tobytes() == dists.tobytes()
+        got = nearest(Q, R, k, exclude_self=exclude_self)
+        lists = distinct_neighbors(Q, R, k, exclude_self=exclude_self, ties=ties)
+    assert got.tobytes() == dense_neighbors(Q, R, k, exclude_self).tobytes()
+    assert_dense_lists(lists, Q, R, k, exclude_self, ties)
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,14 +274,15 @@ def test_rows_against_themselves_share_one_grouping(layout, d, n, ties, cells, s
     X = make_rows(np.random.default_rng(seed), n, d, layout)
     k = data.draw(st.integers(1, n))
     with small_blocks(cells):
-        shared = nearest(X, X, k, ties=ties)
-        apart = nearest(X, X.copy(), k, ties=ties)
-    offsets, index, dists = dense_neighbors(X, X, k, False, ties)
-    assert np.array_equal(shared.offsets, offsets)
-    assert np.array_equal(shared.index, index)
-    assert shared.sq_dist.tobytes() == dists.tobytes()
-    for got, want in zip(shared, apart):
-        assert got.tobytes() == want.tobytes()
+        shared = nearest(X, X, k)
+        apart = nearest(X, X.copy(), k)
+        shared_lists = distinct_neighbors(X, X, k, ties=ties)
+        apart_lists = distinct_neighbors(X, X.copy(), k, ties=ties)
+    assert shared.tobytes() == dense_neighbors(X, X, k, False).tobytes()
+    assert shared.tobytes() == apart.tobytes()
+    assert_dense_lists(shared_lists, X, X, k, False, ties)
+    for got, want in zip(shared_lists, apart_lists):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def duplicated_flows(n=700, d=22):
@@ -275,7 +296,7 @@ def duplicated_flows(n=700, d=22):
     (True, True, False),  # LOF
     (True, False, False),  # SMOTE
     (False, False, False),  # KNN scoring its training rows
-    (False, True, True),  # KNN scoring other rows, with ties
+    (False, True, True),  # other rows, with ties
 ])
 def test_block_size_changes_no_byte(exclude_self, ties, fresh):
     X = duplicated_flows()
@@ -303,8 +324,7 @@ def test_scoring_many_flows_stays_in_cache_sized_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _, index, _ = dense_neighbors(Q[:10], R, 7, False, False)
-    assert np.array_equal(got.index[:70], index)
+    assert np.array_equal(got[:10], dense_neighbors(Q[:10], R, 7, False))
     assert peak < 4e6
 
 

@@ -18,13 +18,12 @@ from flowguard.experiment import (
     expand_grid,
     fit_track_pipeline,
     grid_search,
-    kfold_cv,
     run_full_experiment,
     run_track,
     report_to_json,
     write_report_files,
 )
-from flowguard.classifiers import LEARNERS, make_spec
+from flowguard.classifiers import LEARNERS
 from flowguard.preprocess import LofConfig, SmoteConfig
 from flowguard.synth import SynthConfig, generate
 
@@ -82,11 +81,12 @@ def test_default_grids_cover_every_model():
 def test_kfold_mean_is_arithmetic_mean():
     ds = small_data()
     split = stratified_split(ds, 0.8, seed=0)
-    cv = kfold_cv(make_spec("KNN", k=3),
-                  fold_datasets=build_fold_datasets(split.train, 3, seed=0))
+    cv = grid_search("KNN", {"k": (3,)},
+                     fold_datasets=build_fold_datasets(split.train, 3, seed=0))
     assert len(cv.folds) == 3
     vals = [f.validation_accuracy for f in cv.folds]
-    assert cv.mean_accuracy == sum(vals) / 3
+    assert cv.mean_cv_accuracy == sum(vals) / 3
+    assert [p.mean_cv_accuracy for p in cv.trace] == [cv.mean_cv_accuracy]
     for f in cv.folds:
         assert 0.0 <= f.validation_accuracy <= 1.0
         assert 0.0 <= f.train_accuracy <= 1.0
@@ -95,10 +95,10 @@ def test_kfold_mean_is_arithmetic_mean():
 def test_kfold_is_deterministic():
     ds = small_data()
     split = stratified_split(ds, 0.8, seed=0)
-    a = kfold_cv(make_spec("RF", n_trees=5),
-                 fold_datasets=build_fold_datasets(split.train, 3, seed=1))
-    b = kfold_cv(make_spec("RF", n_trees=5),
-                 fold_datasets=build_fold_datasets(split.train, 3, seed=1))
+    a = grid_search("RF", {"n_trees": (5,)},
+                    fold_datasets=build_fold_datasets(split.train, 3, seed=1))
+    b = grid_search("RF", {"n_trees": (5,)},
+                    fold_datasets=build_fold_datasets(split.train, 3, seed=1))
     assert a == b
 
 
@@ -336,6 +336,18 @@ def test_feature_selection_keeps_informative_columns():
     for track in report.tracks:
         assert set(track.selected_features) == {"f1", "f4"}
         assert "select" in track.pipeline
+
+
+def test_pipeline_lists_select_only_when_it_ran():
+    # select_top_m at or above the feature count keeps every column
+    cfg = small_config(select_top_m=50, models=("KNN",), grids={"KNN": {"k": (3,)}})
+    report = run_full_experiment(cfg, small_data())
+    doc = json.loads(report_to_json(report))
+    for track, entry in zip(report.tracks, doc["tracks"]):
+        assert track.selected_features is None and track.state.selected is None
+        assert "select" not in track.pipeline
+        assert entry["pipeline"][-2:] == ["lof", "scale"]
+        assert entry["preprocessing"]["selected_features"] is None
 
 
 def test_pipeline_state_bundle_round_trip():

@@ -67,7 +67,8 @@ def test_gini_tree_matches_oracle(case, max_depth, min_split, n_cand, seed):
     n_cand = min(n_cand, X.shape[1])
     imp_got, imp_want = np.zeros(X.shape[1]), np.zeros(X.shape[1])
     got = build_gini_tree(X, y, max_depth, min_split, n_cand,
-                          np.random.default_rng(seed), importance=imp_got)
+                          np.random.default_rng(seed), importance=imp_got,
+                          order=presort(X))
     want = gini_tree_brute(X, y, max_depth, min_split, n_cand,
                            np.random.default_rng(seed), importance=imp_want)
     assert_same_tree(got, want)
@@ -99,7 +100,8 @@ def test_trees_match_oracle_on_large_nodes():
     X[:, 4] = np.round(rng.standard_normal(600), 1)
     y = (X[:, 0] + rng.standard_normal(600) > 1).astype(np.int64)
     imp_got, imp_want = np.zeros(5), np.zeros(5)
-    got = build_gini_tree(X, y, None, 2, 2, np.random.default_rng(5), imp_got)
+    got = build_gini_tree(X, y, None, 2, 2, np.random.default_rng(5), imp_got,
+                          order=presort(X))
     want = gini_tree_brute(X, y, None, 2, 2, np.random.default_rng(5), imp_want)
     assert_same_tree(got, want)
     assert imp_got.tobytes() == imp_want.tobytes()
@@ -117,7 +119,8 @@ def test_gini_fallback_widens_to_all_features():
     seed = next(s for s in range(100)
                 if np.random.default_rng(s).choice(2, size=1, replace=False)[0] == 0)
     imp_got, imp_want = np.zeros(2), np.zeros(2)
-    got = build_gini_tree(X, y, None, 2, 1, np.random.default_rng(seed), imp_got)
+    got = build_gini_tree(X, y, None, 2, 1, np.random.default_rng(seed), imp_got,
+                          order=presort(X))
     want = gini_tree_brute(X, y, None, 2, 1, np.random.default_rng(seed), imp_want)
     assert_same_tree(got, want)
     assert got.feature[0] == 1 and got.threshold[0] == 3.5

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import TrainedModel, mean_log_loss, sigmoid, thresholded
-from .tree import TreeNodes, build_newton_tree, presort, tree_apply
+from .tree import build_newton_tree, presort, tree_apply, trees_from_state
 
 
 class GradientBoostedTreesModel(TrainedModel):
@@ -47,10 +47,10 @@ class GradientBoostedTreesModel(TrainedModel):
             p = sigmoid(scores)
             g = p - yf
             h = p * (1.0 - p)
-            tree = build_newton_tree(X, g, h, max_depth=hp["depth"], reg_lambda=lam,
-                                     order=order)
+            tree, fitted = build_newton_tree(X, g, h, max_depth=hp["depth"],
+                                             reg_lambda=lam, order=order)
             trees.append(tree)
-            scores += eta * tree_apply(tree, X)
+            scores += eta * fitted
             loss_curve.append(mean_log_loss(scores, yf))
         return cls(spec, X.shape[1], trees, loss_curve)
 
@@ -72,5 +72,6 @@ class GradientBoostedTreesModel(TrainedModel):
 
     @classmethod
     def from_state(cls, spec, feature_arity, state):
-        trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        trees = trees_from_state(state["trees"], spec.hyperparameters["rounds"],
+                                 feature_arity)
         return cls(spec, feature_arity, trees, state["loss_curve"])

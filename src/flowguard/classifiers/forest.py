@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .base import TrainedModel, thresholded
-from .tree import (TreeNodes, build_gini_tree, presort_sample, tree_apply,
+from .tree import (build_gini_tree, presort_sample, tree_apply, trees_from_state,
                    value_ranks)
 
 
@@ -79,6 +79,10 @@ class RandomForestModel(TrainedModel):
 
     @classmethod
     def from_state(cls, spec, feature_arity, state):
-        trees = [TreeNodes.from_state(s) for s in state["trees"]]
+        trees = trees_from_state(state["trees"], spec.hyperparameters["n_trees"],
+                                 feature_arity)
         importance = np.array(state["feature_importance"], dtype=np.float64)
+        if importance.shape != (feature_arity,):
+            raise ValueError(f"RF feature_importance has shape {importance.shape}, "
+                             f"not ({feature_arity},)")
         return cls(spec, feature_arity, trees, importance)

@@ -60,6 +60,12 @@ class KnnModel(TrainedModel):
 
     @classmethod
     def from_state(cls, spec, feature_arity, state):
-        return cls(spec, feature_arity,
-                   np.array(state["train_X"], dtype=np.float64),
-                   np.array(state["train_y"], dtype=np.int64))
+        train_X = np.array(state["train_X"], dtype=np.float64)
+        train_y = np.array(state["train_y"], dtype=np.int64)
+        k = spec.hyperparameters["k"]
+        if (train_y.ndim != 1 or train_X.shape != (len(train_y), feature_arity)
+                or len(train_y) < k):
+            raise ValueError(f"KNN state: train_X of shape {train_X.shape} and "
+                             f"train_y of shape {train_y.shape} do not hold at "
+                             f"least k={k} rows of {feature_arity} features")
+        return cls(spec, feature_arity, train_X, train_y)

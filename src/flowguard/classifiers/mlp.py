@@ -124,6 +124,11 @@ class MlpModel(TrainedModel):
     def from_state(cls, spec, feature_arity, state):
         weights = [np.array(W, dtype=np.float64) for W in state["weights"]]
         biases = [np.array(b, dtype=np.float64) for b in state["biases"]]
+        sizes = [feature_arity, *spec.hyperparameters["hidden_sizes"], 1]
+        if ([W.shape for W in weights] != list(zip(sizes[:-1], sizes[1:]))
+                or [b.shape for b in biases] != [(s,) for s in sizes[1:]]):
+            raise ValueError(f"MLP state: weight and bias shapes do not chain "
+                             f"layer sizes {sizes}")
         return cls(spec, feature_arity, weights, biases, state["loss_curve"])
 
 

@@ -36,17 +36,23 @@ def save_model(model, path, pipeline: dict | None = None) -> None:
 
 def load_model(path):
     """Returns (model, pipeline_dict_or_None); ValueError if the file is not
-    a well-formed model file."""
+    a well-formed model file, or if its learned state does not fit its
+    kind, hyperparameters and feature arity."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed model file {path!r}: not a JSON object")
+    if doc.get("format") != FORMAT_TAG:
+        raise ValueError(f"{path!r} is not a {FORMAT_TAG} file")
+    if doc.get("version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported model file version {doc.get('version')!r}")
     try:
-        if doc.get("format") != FORMAT_TAG:
-            raise ValueError(f"{path!r} is not a {FORMAT_TAG} file")
-        if doc.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported model file version {doc.get('version')!r}")
         spec = ModelSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"],
                          seed=doc["seed"])
-        model = spec.learner.from_state(spec, doc["feature_arity"], doc["state"])
-    except (AttributeError, KeyError, TypeError) as exc:
+        arity = doc["feature_arity"]
+        if type(arity) is not int or arity < 1:
+            raise ValueError(f"feature_arity {arity!r} is not a positive integer")
+        model = spec.learner.from_state(spec, arity, doc["state"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path!r}: {exc!r}") from exc
     return model, doc.get("pipeline")

@@ -139,5 +139,8 @@ class LinearSvcModel(TrainedModel):
 
     @classmethod
     def from_state(cls, spec, feature_arity, state):
-        return cls(spec, feature_arity, np.array(state["w"], dtype=np.float64),
-                   state["platt_a"], state["platt_b"])
+        w = np.array(state["w"], dtype=np.float64)
+        if w.shape != (feature_arity + 1,):
+            raise ValueError(f"SVC state: w has shape {w.shape}, not "
+                             f"({feature_arity + 1},) for {feature_arity} features")
+        return cls(spec, feature_arity, w, state["platt_a"], state["platt_b"])

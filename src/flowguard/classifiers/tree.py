@@ -1,9 +1,10 @@
 """Flat-array binary decision trees shared by the forest and boosting models.
 
 Trees are stored as parallel arrays (feature, threshold, left, right, value)
-rather than linked nodes: construction is an explicit stack, application is
-vectorized mask routing, and serialization is a dict of lists with no
-recursion anywhere.
+rather than linked nodes: construction is an explicit stack, application
+splits each internal node's own rows with one gather and compare, and
+serialization is a dict of lists with no recursion anywhere. Every child
+comes after its parent in the arrays, so routing always reaches a leaf.
 
 Split search sorts each column once per tree (once per boosting fit, where X
 never changes) and never at a node. A node's per-feature row order is its
@@ -40,14 +41,6 @@ class TreeNodes:
                 "right": self.right.tolist(),
                 "value": self.value.tolist()}
 
-    @classmethod
-    def from_state(cls, state: dict) -> "TreeNodes":
-        return cls(feature=np.array(state["feature"], dtype=np.int64),
-                   threshold=np.array(state["threshold"], dtype=np.float64),
-                   left=np.array(state["left"], dtype=np.int64),
-                   right=np.array(state["right"], dtype=np.int64),
-                   value=np.array(state["value"], dtype=np.float64))
-
 
 class _TreeBuilder:
     def __init__(self):
@@ -71,6 +64,41 @@ class _TreeBuilder:
                          left=np.array(self.left, dtype=np.int64),
                          right=np.array(self.right, dtype=np.int64),
                          value=np.array(self.value, dtype=np.float64))
+
+
+def trees_from_state(states, count, arity) -> list:
+    """The ``count`` trees that ``TreeNodes.to_state`` wrote, for rows of
+    ``arity`` features.
+
+    ValueError unless each is a tree the builder could have made: five
+    arrays of one length, each feature LEAF or a column index, and each
+    internal node's children after it in its arrays. The checks run once
+    over the nodes of all trees together.
+    """
+    if len(states) != count:
+        raise ValueError(f"state holds {len(states)} trees, not {count}")
+    trees = [TreeNodes(feature=np.array(s["feature"], dtype=np.int64),
+                       threshold=np.array(s["threshold"], dtype=np.float64),
+                       left=np.array(s["left"], dtype=np.int64),
+                       right=np.array(s["right"], dtype=np.int64),
+                       value=np.array(s["value"], dtype=np.float64))
+             for s in states]
+    sizes = [t.feature.size for t in trees]
+    for t, n in zip(trees, sizes):
+        if not (n > 0 and (n,) == t.feature.shape == t.threshold.shape
+                == t.left.shape == t.right.shape == t.value.shape):
+            raise ValueError("tree arrays must be non-empty and of one length")
+    feature, left, right = (np.concatenate([getattr(t, name) for t in trees])
+                            for name in ("feature", "left", "right"))
+    # each node's index within its tree, and its tree's node count
+    node = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    n = np.repeat(sizes, sizes)
+    leaf = feature == LEAF
+    if not np.all(leaf | (feature >= 0) & (feature < arity)):
+        raise ValueError(f"tree splits on a feature outside [0, {arity})")
+    if not np.all(leaf | (np.minimum(left, right) > node) & (np.maximum(left, right) < n)):
+        raise ValueError("tree node has a child that does not come after it")
+    return trees
 
 
 def value_ranks(X) -> np.ndarray:
@@ -208,45 +236,65 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
     return _grow(X, order, split_node)
 
 
-def build_newton_tree(X, g, h, max_depth, reg_lambda, order) -> TreeNodes:
+def build_newton_tree(X, g, h, max_depth, reg_lambda, order):
     """Depth-limited regression tree on gradient/hessian statistics.
 
     Leaf weight is the Newton step -G / (H + lambda). Split search is
     exhaustive over features and distinct-value midpoints (deterministic,
     no sampling), keeping boosting fully reproducible without a seed.
     ``order`` is ``presort(X)``: X does not change between boosting rounds,
-    so one sort serves the whole fit.
+    so one sort serves the whole fit. Returns the tree and each row's leaf
+    value, which is ``tree_apply(tree, X)`` read off the grown leaves.
     """
     everything = np.arange(X.shape[1])
+    fitted = np.empty(X.shape[0], dtype=np.float64)
 
     def split_node(idx, rows, depth):
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         value = -G / (H + reg_lambda)
-        if depth >= max_depth or len(idx) < 2:
+        split = None
+        if depth < max_depth and len(idx) >= 2:
+            parent = G * G / (H + reg_lambda)
+            GL = np.cumsum(g[rows], axis=1)[:, :-1]
+            HL = np.cumsum(h[rows], axis=1)[:, :-1]
+            GR = G - GL
+            HR = H - HL
+            gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda)
+                          - parent)
+            split = _best_split(X, rows, everything, gain)
+        if split is None:
+            fitted[idx] = value
             return value, None
-        parent = G * G / (H + reg_lambda)
-        GL = np.cumsum(g[rows], axis=1)[:, :-1]
-        HL = np.cumsum(h[rows], axis=1)[:, :-1]
-        GR = G - GL
-        HR = H - HL
-        gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda)
-                      - parent)
-        split = _best_split(X, rows, everything, gain)
-        return value, None if split is None else split[:2]
+        return value, split[:2]
 
-    return _grow(X, order, split_node)
+    return _grow(X, order, split_node), fitted
 
 
 def tree_apply(tree: TreeNodes, X) -> np.ndarray:
-    """Leaf value for every row, by vectorized mask routing."""
+    """Leaf value for every row.
+
+    Each internal node splits its own rows with one gather and compare
+    (``x < threshold`` goes left, so NaN goes right), and each leaf writes
+    its value to the rows that reach it. A node that no row reaches does no
+    work.
+    """
     X = np.asarray(X, dtype=np.float64)
-    cur = np.zeros(X.shape[0], dtype=np.int64)
-    active = np.flatnonzero(tree.feature[cur] != LEAF)
-    while len(active):
-        nodes = cur[active]
-        f = tree.feature[nodes]
-        go_left = X[active, f] < tree.threshold[nodes]
-        cur[active] = np.where(go_left, tree.left[nodes], tree.right[nodes])
-        active = active[tree.feature[cur[active]] != LEAF]
-    return tree.value[cur]
+    out = np.empty(X.shape[0], dtype=np.float64)
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right, value = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        f = feature[node]
+        if f == LEAF:
+            out[idx] = value[node]
+            continue
+        go_left = X[:, f].take(idx) < threshold[node]
+        rows = idx[go_left]
+        if len(rows):
+            stack.append((left[node], rows))
+        rows = idx[~go_left]
+        if len(rows):
+            stack.append((right[node], rows))
+    return out

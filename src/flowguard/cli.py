@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import classifiers as clf
-from .dataset import (DEFAULT_LABEL_COLUMN, _scan, encode_categoricals,
-                      impute_missing, label_distribution, load_csv)
+from .dataset import (DEFAULT_LABEL_COLUMN, encode_categoricals, impute_missing,
+                      label_distribution, load_csv)
 from .experiment import (ExperimentConfig, PipelineState, report_to_dict,
                          run_full_experiment, write_report_files)
 from .metrics import evaluate_capture
@@ -211,8 +211,7 @@ def _cmd_inspect(args):
     print(f"rows: {ds.n_rows}")
     print(f"features: {ds.n_features}")
     print(f"labels: {dist.benign_count} benign / {dist.ddos_count} ddos")
-    for j, name in enumerate(ds.feature_names):
-        categorical, gaps, _ = _scan(ds.X[:, j])
+    for name, (categorical, gaps, _) in zip(ds.feature_names, ds.scans):
         missing = int(gaps.sum())
         suffix = f" ({missing} missing)" if missing else ""
         print(f"  {name}: {'categorical' if categorical else 'numeric'}{suffix}")

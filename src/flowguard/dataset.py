@@ -14,6 +14,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -35,6 +36,8 @@ class Dataset:
     ``X`` is float64 once fully numeric; while raw categorical tokens are
     still present it is an object array mixing floats, strings, and gaps
     (``nan`` for numeric cells, ``None`` for categorical ones).
+    ``scans`` types each column once per dataset: a capture is imputed and
+    then encoded, once per model that scores it, from one scan.
     """
 
     feature_names: tuple
@@ -74,6 +77,13 @@ class Dataset:
     @property
     def is_numeric(self):
         return self.X.dtype.kind == "f"
+
+    @cached_property
+    def scans(self) -> tuple:
+        """``_scan`` of every column, computed on first use. ``X`` is
+        read-only and the dataclass frozen, so it cannot go stale; a
+        ``replace`` or ``take`` is a new dataset and scans its own ``X``."""
+        return tuple(_scan(self.X[:, j]) for j in range(self.n_features))
 
     def replace(self, **changes) -> "Dataset":
         return dataclasses.replace(self, **changes)
@@ -234,16 +244,18 @@ def impute_missing(ds: Dataset) -> Dataset:
 
     Gaps are None and NaN cells. Mode ties break lexicographically smallest.
     A column with every value missing cannot be imputed and raises ValueError
-    naming it. Idempotent.
+    naming it. A dataset without gaps is returned as it is, with its scans.
+    Idempotent.
     """
+    if not any(gaps.any() for _, gaps, _ in ds.scans):
+        return ds
     X = np.array(ds.X, dtype=np.float64 if ds.is_numeric else object)
-    for j in range(ds.n_features):
-        col = X[:, j]
-        categorical, gaps, values = _scan(col)
+    for j, (categorical, gaps, values) in enumerate(ds.scans):
         if not gaps.any():
             continue
         if gaps.all():
             raise ValueError(f"column {ds.feature_names[j]!r} is entirely missing")
+        col = X[:, j]
         if categorical:
             counts = Counter(col[~gaps])
             top = max(counts.values())
@@ -262,10 +274,9 @@ def encode_categoricals(ds: Dataset) -> Dataset:
     reuse on later data (see apply_category_maps). All-numeric input keeps
     its values. Requires missing values to be imputed first.
     """
-    scans = [_scan(ds.X[:, j]) for j in range(ds.n_features)]
     learned = {name: tuple(dict.fromkeys(map(str, ds.X[:, j].tolist())))
-               for j, name in enumerate(ds.feature_names) if scans[j][0]}
-    return ds.replace(X=_encode(ds, scans, learned),
+               for j, name in enumerate(ds.feature_names) if ds.scans[j][0]}
+    return ds.replace(X=_encode(ds, learned),
                       category_maps={**ds.category_maps, **learned})
 
 
@@ -280,24 +291,23 @@ def apply_category_maps(ds: Dataset, maps: dict) -> Dataset:
         if np.isnan(ds.X).any():
             raise ValueError("impute missing values before encoding")
         return ds
-    scans = [_scan(ds.X[:, j]) for j in range(ds.n_features)]
-    for name, (categorical, _, _) in zip(ds.feature_names, scans):
+    for name, (categorical, _, _) in zip(ds.feature_names, ds.scans):
         if categorical and name not in maps:
             raise ValueError(f"no category map for categorical column {name!r}")
-    return ds.replace(X=_encode(ds, scans, maps), category_maps=dict(maps))
+    return ds.replace(X=_encode(ds, maps), category_maps=dict(maps))
 
 
-def _encode(ds: Dataset, scans, maps) -> np.ndarray:
-    """Float matrix of ``ds`` from its column ``scans`` (see ``_scan``).
+def _encode(ds: Dataset, maps) -> np.ndarray:
+    """Float matrix of ``ds`` from ``ds.scans`` (see ``_scan``).
 
     A column named in ``maps`` holds each token's position in its map, or
     the map's length for an unseen token; any other holds its scanned values.
     A gap anywhere raises ValueError.
     """
-    if any(gaps.any() for _, gaps, _ in scans):
+    if any(gaps.any() for _, gaps, _ in ds.scans):
         raise ValueError("impute missing values before encoding")
     X = np.empty(ds.X.shape, dtype=np.float64)
-    for j, (name, (_, _, values)) in enumerate(zip(ds.feature_names, scans)):
+    for j, (name, (_, _, values)) in enumerate(zip(ds.feature_names, ds.scans)):
         if name in maps:
             known = dict(zip(maps[name], range(len(maps[name]))))
             tokens = map(str, ds.X[:, j].tolist())
@@ -368,7 +378,7 @@ def dataset_to_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) 
     Strings are written as they are, numbers by ``repr`` (exact for float64)
     and gaps (None, NaN) as empty cells, so ``load_csv`` reads them back.
     """
-    columns = [_column_text(ds.X[:, j]) for j in range(ds.n_features)]
+    columns = [_column_text(ds.X[:, j], scan) for j, scan in enumerate(ds.scans)]
     columns.append(list(map(str, ds.y.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -376,9 +386,10 @@ def dataset_to_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) 
         writer.writerows(zip(*columns))
 
 
-def _column_text(column) -> list:
-    """CSV cells of one column of ``Dataset.X``; see dataset_to_csv."""
-    categorical, gaps, values = _scan(column)
+def _column_text(column, scan) -> list:
+    """CSV cells of one column of ``Dataset.X`` with its ``scan``; see
+    dataset_to_csv."""
+    categorical, gaps, values = scan
     if categorical:
         cells = [v if isinstance(v, str) else "" if v is None else repr(float(v))
                  for v in column.tolist()]

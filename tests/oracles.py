@@ -12,9 +12,11 @@ search, which trains every grid point in every fold, the
 ``--save-models`` writer that retrains every final model to save it, and
 the row-wise LOF, which keeps a neighbour list for every row, copies of a
 row included, the CSV loader and category encoders that read, impute
-and encode one cell at a time, and the full-model scoring loops of the
+and encode one cell at a time, the full-model scoring loops of the
 forest and the boosted trees, which sum over every tree in one pass
-instead of reading the last stage of the staged loop.
+instead of reading the last stage of the staged loop, and the level-wise
+tree router, which moves every unfinished row down one level per step
+instead of splitting each node's own rows.
 """
 
 import csv
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from flowguard import classifiers as clf
-from flowguard.classifiers.tree import TreeNodes, _TreeBuilder, tree_apply
+from flowguard.classifiers.tree import LEAF, TreeNodes, _TreeBuilder
 from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
                                LoadError, stratified_split)
 from flowguard.distance import sq_dists
@@ -608,14 +610,29 @@ def apply_category_maps_cellwise(ds: Dataset, maps: dict) -> Dataset:
     return ds.replace(X=X, category_maps=dict(maps))
 
 
-# --- full-model scoring of the tree ensembles --------------------------
+# --- tree routing and full-model scoring of the tree ensembles ----------
+
+def tree_apply_levelwise(tree: TreeNodes, X) -> np.ndarray:
+    """Leaf value for every row: each step moves every row that is not yet
+    at a leaf to its child, until all rows are at leaves."""
+    X = np.asarray(X, dtype=np.float64)
+    cur = np.zeros(X.shape[0], dtype=np.int64)
+    active = np.flatnonzero(tree.feature[cur] != LEAF)
+    while len(active):
+        nodes = cur[active]
+        f = tree.feature[nodes]
+        go_left = X[active, f] < tree.threshold[nodes]
+        cur[active] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+        active = active[tree.feature[cur[active]] != LEAF]
+    return tree.value[cur]
+
 
 def forest_vote_fraction(model, X) -> np.ndarray:
     """Fraction of a random forest's trees whose leaf value is >= 0.5."""
     X = np.asarray(X, dtype=np.float64)
     votes = np.zeros(X.shape[0], dtype=np.int64)
     for tree in model.trees:
-        votes += tree_apply(tree, X) >= 0.5
+        votes += tree_apply_levelwise(tree, X) >= 0.5
     return votes / len(model.trees)
 
 
@@ -626,5 +643,5 @@ def boosting_raw_scores(model, X) -> np.ndarray:
     eta = model.spec.hyperparameters["learning_rate"]
     scores = np.zeros(X.shape[0], dtype=np.float64)
     for tree in model.trees:
-        scores += eta * tree_apply(tree, X)
+        scores += eta * tree_apply_levelwise(tree, X)
     return scores

@@ -323,6 +323,64 @@ def test_evaluate_refuses_malformed_model_file(corpus, finished_run, tmp_path, c
     assert str(bundle) in err
 
 
+def point_child_at(tree, child):
+    """Sets the left child of a saved tree's first internal node to
+    ``child(node, n_nodes)``."""
+    node = next(i for i, f in enumerate(tree["feature"]) if f != -1)
+    tree["left"][node] = child(node, len(tree["feature"]))
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("knn", lambda s: s.update(train_y=s["train_y"][:1])),
+    ("knn", lambda s: s.update(train_X=[row[:-1] for row in s["train_X"]])),
+    ("rf", lambda s: s["trees"][0].update(left=s["trees"][0]["left"][:1])),
+    ("rf", lambda s: s["trees"][1]["feature"].__setitem__(0, 5)),
+    ("rf", lambda s: s["trees"].pop()),
+    ("rf", lambda s: s.update(feature_importance=s["feature_importance"][:-1])),
+    ("xgb", lambda s: s["trees"][0].update(value=s["trees"][0]["value"][:-1])),
+    ("xgb", lambda s: point_child_at(s["trees"][2], lambda node, n: n)),
+    ("xgb", lambda s: s["trees"].__setitem__(3, {k: [] for k in s["trees"][3]})),
+    ("mlp", lambda s: s["weights"][0].pop()),
+    ("mlp", lambda s: s["biases"][-1].append(0.0)),
+    ("mlp", lambda s: s.update(weights=s["weights"][:-1], biases=s["biases"][:-1])),
+    ("svc", lambda s: s["w"].pop()),
+], ids=["knn_labels", "knn_columns", "rf_tree_arrays", "rf_feature", "rf_tree_count",
+        "rf_importance", "xgb_tree_arrays", "xgb_child_past_end", "xgb_empty_tree",
+        "mlp_weight_rows", "mlp_bias", "mlp_layers", "svc_weights"])
+def test_evaluate_refuses_inconsistent_model_state(corpus, finished_run, tmp_path,
+                                                   capsys, name, edit):
+    doc = json.loads((finished_run / f"model_{name}_balanced.json").read_text())
+    edit(doc["state"])
+    bundle = tmp_path / "bad.json"
+    bundle.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(bundle), "--data", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[model]: malformed model file"), err
+    assert str(bundle) in err
+
+
+@pytest.mark.parametrize("name", ["rf", "xgb"])
+@pytest.mark.parametrize("child", [lambda node, n: node, lambda node, n: 0],
+                         ids=["self", "root"])
+def test_evaluate_refuses_cyclic_tree(corpus, finished_run, tmp_path, name, child):
+    # Routing this tree would never end, so it runs in a child process that
+    # must finish by itself.
+    doc = json.loads((finished_run / f"model_{name}_balanced.json").read_text())
+    point_child_at(doc["state"]["trees"][0], child)
+    bundle = tmp_path / "cyclic.json"
+    bundle.write_text(json.dumps(doc))
+    package_root = Path(flowguard.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "flowguard", "evaluate", "--model",
+                           str(bundle), "--data", str(corpus)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error[model]: malformed model file"), proc.stderr
+
+
 def test_evaluate_scores_scaler_only_bundle(corpus, finished_run, tmp_path, capsys):
     # a pipeline of a scaler alone scores a capture that is already numeric
     doc = json.loads((finished_run / "model_knn_imbalanced.json").read_text())

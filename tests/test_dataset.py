@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from flowguard import dataset
 from flowguard.dataset import (
     Dataset,
     LoadError,
@@ -175,6 +176,55 @@ def test_apply_category_maps_requires_imputation_first(X):
     ds = Dataset(feature_names=("v", "p"), X=X, y=np.array([0]))
     with pytest.raises(ValueError, match="impute missing values before encoding"):
         apply_category_maps(ds, {"p": ("tcp", "udp")})
+
+
+def counted_scans(monkeypatch):
+    """A list that gets one entry per ``_scan`` call from here on."""
+    calls, scan = [], dataset._scan
+    monkeypatch.setattr(dataset, "_scan", lambda column: calls.append(1) or scan(column))
+    return calls
+
+
+def gap_free_capture():
+    rng = np.random.default_rng(4)
+    X = np.empty((40, 4), dtype=object)
+    X[:, 0] = rng.choice(["tcp", "udp", "icmp"], size=40)
+    X[:, 1] = rng.standard_normal(40)
+    X[:, 2] = rng.choice(["a", "b"], size=40)
+    X[:, 3] = rng.integers(0, 5, size=40).astype(np.float64)
+    return Dataset(feature_names=("proto", "rate", "flag", "pkts"), X=X,
+                   y=rng.integers(0, 2, size=40))
+
+
+def test_a_capture_is_scanned_once_for_every_encoding(monkeypatch):
+    ds = gap_free_capture()
+    calls = counted_scans(monkeypatch)
+    imputed = impute_missing(ds)
+    maps = ({"proto": ("udp", "tcp"), "flag": ("b",)},
+            {"proto": ("icmp",), "flag": ("a", "b")})
+    encoded = [apply_category_maps(imputed, m) for m in maps]
+    assert len(calls) == ds.n_features
+    assert_same_dataset(imputed, impute_missing_cellwise(ds))
+    for got, m in zip(encoded, maps):
+        assert_same_dataset(got, apply_category_maps_cellwise(ds, m))
+
+
+def test_a_new_dataset_scans_its_own_columns(monkeypatch):
+    ds = gap_free_capture()
+    ds.scans  # noqa: B018 - computed before any copy is made
+    calls = counted_scans(monkeypatch)
+    head = ds.take(range(5))
+    assert [gaps.size for _, gaps, _ in head.scans] == [5] * 4
+    assert len(calls) == 4
+    X = ds.X.copy()
+    X[3, 1] = np.nan
+    X[7, 0] = None
+    gappy = ds.replace(X=X)
+    assert [np.flatnonzero(gaps).tolist() for _, gaps, _ in gappy.scans] == \
+        [[7], [3], [], []]
+    assert len(calls) == 8
+    assert not any(gaps.any() for _, gaps, _ in ds.scans)
+    assert_same_dataset(impute_missing(gappy), impute_missing_cellwise(gappy))
 
 
 def test_split_worked_example():

@@ -4,7 +4,8 @@ The oracles (``tests/oracles.py``) sort every candidate feature at every
 node, one feature at a time. The library sorts each column once per tree
 (once per boosting fit) and scores all candidate features in one block.
 Every ``TreeNodes`` array, and the forest's impurity importances, must
-agree byte for byte.
+agree byte for byte. Routing rows node by node must give the leaf values
+of the level-wise oracle router byte for byte.
 """
 
 import numpy as np
@@ -16,11 +17,14 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flowguard import classifiers as clf  # noqa: E402
-from flowguard.classifiers.tree import (build_gini_tree,  # noqa: E402
+from flowguard.classifiers.tree import (LEAF, TreeNodes,  # noqa: E402
+                                        _TreeBuilder, build_gini_tree,
                                         build_newton_tree, presort,
-                                        presort_sample, value_ranks)
+                                        presort_sample, tree_apply,
+                                        trees_from_state, value_ranks)
 from flowguard.dataset import Dataset  # noqa: E402
-from oracles import gini_tree_brute, newton_tree_brute  # noqa: E402
+from oracles import (gini_tree_brute, newton_tree_brute,  # noqa: E402
+                     tree_apply_levelwise)
 
 LAYOUTS = ("normal", "grid", "duplicates")
 ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -89,9 +93,10 @@ def test_newton_tree_matches_oracle(case, max_depth, reg_lambda, scores):
         raw = rng.choice([-40.0, 0.0, 40.0], size=n)
     p = 1.0 / (1.0 + np.exp(-raw))
     g, h = p - y, p * (1.0 - p)
-    got = build_newton_tree(X, g, h, max_depth, reg_lambda, order=presort(X))
+    got, fitted = build_newton_tree(X, g, h, max_depth, reg_lambda, order=presort(X))
     want = newton_tree_brute(X, g, h, max_depth, reg_lambda)
     assert_same_tree(got, want)
+    assert fitted.tobytes() == tree_apply_levelwise(want, X).tobytes()
 
 
 def test_trees_match_oracle_on_large_nodes():
@@ -107,8 +112,10 @@ def test_trees_match_oracle_on_large_nodes():
     assert imp_got.tobytes() == imp_want.tobytes()
     p = 1.0 / (1.0 + np.exp(-rng.standard_normal(600)))
     g, h = p - y, p * (1.0 - p)
-    got = build_newton_tree(X, g, h, 6, 1.0, order=presort(X))
-    assert_same_tree(got, newton_tree_brute(X, g, h, 6, 1.0))
+    got, fitted = build_newton_tree(X, g, h, 6, 1.0, order=presort(X))
+    want = newton_tree_brute(X, g, h, 6, 1.0)
+    assert_same_tree(got, want)
+    assert fitted.tobytes() == tree_apply_levelwise(want, X).tobytes()
 
 
 def test_gini_fallback_widens_to_all_features():
@@ -169,3 +176,102 @@ def test_forest_trees_match_oracle_on_their_bootstrap_samples():
         assert_same_tree(tree, gini_tree_brute(X[sample], y[sample], None, 2, 2,
                                                tree_rng, importance))
     assert model.feature_importance.tobytes() == (importance / 4).tobytes()
+
+
+@st.composite
+def routing_cases(draw):
+    """A valid tree over d features, its children allocated in any order
+    after their parent, and rows whose values sit on, just beside or far
+    from its thresholds, with NaN among them."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.round(rng.standard_normal(draw(st.integers(1, 4))), 1)
+    builder = _TreeBuilder()
+    pending = [(builder.add(), 0)]
+    while pending:
+        slot, depth = pending.pop(draw(st.integers(0, len(pending) - 1)))
+        builder.value[slot] = float(rng.standard_normal())
+        if depth < 6 and draw(st.booleans()):
+            builder.feature[slot] = draw(st.integers(0, d - 1))
+            builder.threshold[slot] = float(rng.choice(cuts))
+            builder.left[slot], builder.right[slot] = builder.add(), builder.add()
+            pending += [(builder.left[slot], depth + 1), (builder.right[slot], depth + 1)]
+    values = np.concatenate([cuts, np.nextafter(cuts, -np.inf),
+                             np.nextafter(cuts, np.inf), [np.nan, -np.inf, 9.0]])
+    X = rng.choice(values, size=(draw(st.integers(0, 50)), d))
+    return builder.finish(), X
+
+
+def assert_routes_like_levelwise(tree, X):
+    got, want = tree_apply(tree, X), tree_apply_levelwise(tree, X)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(routing_cases())
+def test_tree_apply_matches_levelwise_routing(case):
+    assert_routes_like_levelwise(*case)
+
+
+def test_tree_apply_on_no_rows_and_on_a_single_leaf():
+    leaf = TreeNodes(feature=np.array([LEAF]), threshold=np.zeros(1),
+                     left=np.array([LEAF]), right=np.array([LEAF]),
+                     value=np.array([0.25]))
+    stump = TreeNodes(feature=np.array([1, LEAF, LEAF]), threshold=np.array([0.5, 0, 0]),
+                      left=np.array([1, LEAF, LEAF]), right=np.array([2, LEAF, LEAF]),
+                      value=np.array([0.0, -1.0, 1.0]))
+    for tree in (leaf, stump):
+        for n in (0, 1, 7):
+            X = np.random.default_rng(n).standard_normal((n, 2))
+            assert_routes_like_levelwise(tree, X)
+    assert tree_apply(leaf, np.empty((3, 2))).tolist() == [0.25] * 3
+    assert tree_apply(stump, np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["RF", "GBT"])
+def test_saved_ensembles_route_like_levelwise(kind, tmp_path):
+    rng = np.random.default_rng(12)
+    X = make_rows(rng, 150, 5, "grid")
+    X[:, 4] = np.round(rng.standard_normal(150), 1)
+    y = (X[:, 0] + X[:, 4] + rng.standard_normal(150) > 1).astype(np.int64)
+    model = clf.train(clf.make_spec(kind, seed=2, **{"RF": {"n_trees": 20},
+                                                     "GBT": {"rounds": 20}}[kind]),
+                      Dataset(feature_names=tuple("abcde"), X=X, y=y))
+    clf.save_model(model, tmp_path / "m.json")
+    loaded, _ = clf.load_model(tmp_path / "m.json")
+    fresh = make_rows(rng, 400, 5, "grid")
+    fresh[:, 4] = np.round(rng.standard_normal(400), 1)
+    fresh[::17, 4] = np.nan
+    for tree in loaded.trees:
+        assert_routes_like_levelwise(tree, fresh)
+        assert_routes_like_levelwise(tree, X)
+
+
+def test_trees_from_state_accepts_only_trees_the_builder_makes():
+    # root splits on feature 1; node 1 splits on feature 0; 2, 3, 4 are leaves
+    good = {"feature": [1, 0, LEAF, LEAF, LEAF], "threshold": [0.5, 0.0, 0, 0, 0],
+            "left": [1, 3, LEAF, LEAF, LEAF], "right": [2, 4, LEAF, LEAF, LEAF],
+            "value": [0.0, 0.0, 1.0, 2.0, 3.0]}
+    (tree,) = trees_from_state([good], 1, 2)
+    assert tree_apply(tree, [[0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]]).tolist() == [1.0, 2.0, 3.0]
+    edits = {
+        "child_is_itself": ("left", 1, 1),
+        "root_is_own_child": ("right", 0, 0),
+        "child_is_parent": ("left", 1, 0),
+        "child_past_end": ("right", 0, 5),
+        "feature_past_arity": ("feature", 1, 2),
+        "feature_below_leaf": ("feature", 0, -2),
+    }
+    for name, (key, node, bad) in edits.items():
+        state = {k: list(v) for k, v in good.items()}
+        state[key][node] = bad
+        with pytest.raises(ValueError):
+            trees_from_state([state], 1, 2)
+            raise AssertionError(name)
+    for state in ({**good, "value": good["value"][:-1]},
+                  {k: [] for k in good}, {**good, "left": [good["left"]]}):
+        with pytest.raises(ValueError):
+            trees_from_state([state], 1, 2)
+    with pytest.raises(ValueError, match="2 trees, not 1"):
+        trees_from_state([good, good], 1, 2)

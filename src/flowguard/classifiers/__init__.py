@@ -1,11 +1,11 @@
 """Five binary classifiers behind one train/predict interface.
 
 Each learner is one ``TrainedModel`` subclass that states the facts of its
-kind: kind string, report name, default hyperparameters, default grid,
-range checks and single-class rule (see ``TrainedModel``). ``LEARNERS``
-lists the classes once, in report order; specs, training, persistence and
-the experiment's defaults all read them from there. Adding a learner means
-writing its class and adding it to ``LEARNERS``.
+kind: kind string, report name, default hyperparameters, default grid, range
+checks, single-class rule and learned state fields (see ``TrainedModel``).
+``LEARNERS`` lists the classes once, in report order, for specs, training,
+persistence and the experiment's defaults. Adding a learner means writing
+its class, with its ``state_fields``, and listing it in ``LEARNERS``.
 
 A learner scores through one method. RF, GBT and KNN have a staged
 hyperparameter and implement ``staged_predict_sets``; SVC and MLP implement

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .tree import TreeNodes
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -71,7 +73,9 @@ class TrainedModel:
     - ``positive``: the hyperparameters that must be > 0 (a learner with
       further range rules extends ``check_hyperparameters``);
     - ``needs_two_classes``: training on one class raises, because the
-      objective degenerates, instead of giving a constant predictor.
+      objective degenerates, instead of giving a constant predictor;
+    - ``state_fields``: the learned attributes in bundle ``state`` order;
+      the constructor takes them by keyword, and ``to_state`` writes them.
 
     Each learner scores in exactly one method. A learner whose fit for a
     smaller value of one hyperparameter is an exact prefix of its fit for a
@@ -89,10 +93,13 @@ class TrainedModel:
     positive = ()
     needs_two_classes = False
     staged_hyperparameter = None
+    state_fields = ()
 
-    def __init__(self, spec: ModelSpec, feature_arity: int):
+    def __init__(self, spec: ModelSpec, feature_arity: int, **state):
         self.spec = spec
         self.feature_arity = int(feature_arity)
+        for name in self.state_fields:
+            setattr(self, name, state[name])
 
     @classmethod
     def check_hyperparameters(cls, hp):
@@ -135,7 +142,8 @@ class TrainedModel:
         return wanted
 
     def to_state(self) -> dict:
-        raise NotImplementedError
+        """The learned state as the JSON of a bundle's ``state`` entry."""
+        return {name: _jsonable(getattr(self, name)) for name in self.state_fields}
 
     def _check_arity(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -144,6 +152,17 @@ class TrainedModel:
                 f"model trained on {self.feature_arity} features, got matrix "
                 f"of shape {X.shape}")
         return X
+
+
+def _jsonable(value):
+    """Arrays as nested lists, trees as their state, lists item by item."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, TreeNodes):
+        return value.to_state()
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def thresholded(probs) -> PredictionSet:

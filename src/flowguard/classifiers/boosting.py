@@ -27,11 +27,7 @@ class GradientBoostedTreesModel(TrainedModel):
     positive = ("rounds", "depth", "learning_rate", "reg_lambda")
     needs_two_classes = True
     staged_hyperparameter = "rounds"
-
-    def __init__(self, spec, feature_arity, trees, loss_curve):
-        super().__init__(spec, feature_arity)
-        self.trees = trees
-        self.loss_curve = list(loss_curve)
+    state_fields = ("trees", "loss_curve")
 
     @classmethod
     def fit(cls, spec, X, y):
@@ -52,7 +48,7 @@ class GradientBoostedTreesModel(TrainedModel):
             trees.append(tree)
             scores += eta * fitted
             loss_curve.append(mean_log_loss(scores, yf))
-        return cls(spec, X.shape[1], trees, loss_curve)
+        return cls(spec, X.shape[1], trees=trees, loss_curve=loss_curve)
 
     def staged_predict_sets(self, X, values):
         X = self._check_arity(X)
@@ -66,12 +62,9 @@ class GradientBoostedTreesModel(TrainedModel):
                 out[m] = thresholded(sigmoid(scores))
         return out
 
-    def to_state(self):
-        return {"trees": [t.to_state() for t in self.trees],
-                "loss_curve": list(self.loss_curve)}
-
     @classmethod
     def from_state(cls, spec, feature_arity, state):
         trees = trees_from_state(state["trees"], spec.hyperparameters["rounds"],
                                  feature_arity)
-        return cls(spec, feature_arity, trees, state["loss_curve"])
+        return cls(spec, feature_arity, trees=trees,
+                   loss_curve=list(state["loss_curve"]))

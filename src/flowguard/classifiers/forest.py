@@ -27,11 +27,7 @@ class RandomForestModel(TrainedModel):
     default_grid = {"n_trees": (50, 100)}
     positive = ("n_trees", "min_samples_split")
     staged_hyperparameter = "n_trees"
-
-    def __init__(self, spec, feature_arity, trees, importance):
-        super().__init__(spec, feature_arity)
-        self.trees = trees
-        self.feature_importance = importance
+    state_fields = ("trees", "feature_importance")
 
     @classmethod
     def check_hyperparameters(cls, hp):
@@ -60,7 +56,7 @@ class RandomForestModel(TrainedModel):
                                          rng=rng, importance=importance,
                                          order=presort_sample(ranks, sample)))
         importance /= hp["n_trees"]
-        return cls(spec, d, trees, importance)
+        return cls(spec, d, trees=trees, feature_importance=importance)
 
     def staged_predict_sets(self, X, values):
         X = self._check_arity(X)
@@ -73,10 +69,6 @@ class RandomForestModel(TrainedModel):
                 out[m] = thresholded(votes / m)
         return out
 
-    def to_state(self):
-        return {"trees": [t.to_state() for t in self.trees],
-                "feature_importance": self.feature_importance.tolist()}
-
     @classmethod
     def from_state(cls, spec, feature_arity, state):
         trees = trees_from_state(state["trees"], spec.hyperparameters["n_trees"],
@@ -85,4 +77,4 @@ class RandomForestModel(TrainedModel):
         if importance.shape != (feature_arity,):
             raise ValueError(f"RF feature_importance has shape {importance.shape}, "
                              f"not ({feature_arity},)")
-        return cls(spec, feature_arity, trees, importance)
+        return cls(spec, feature_arity, trees=trees, feature_importance=importance)

@@ -23,18 +23,14 @@ class KnnModel(TrainedModel):
     default_grid = {"k": (3, 5, 7)}
     positive = ("k",)
     staged_hyperparameter = "k"
-
-    def __init__(self, spec, feature_arity, train_X, train_y):
-        super().__init__(spec, feature_arity)
-        self.train_X = np.ascontiguousarray(train_X, dtype=np.float64)
-        self.train_y = np.asarray(train_y, dtype=np.int64)
+    state_fields = ("train_X", "train_y")
 
     @classmethod
     def fit(cls, spec, X, y):
         if spec.hyperparameters["k"] > X.shape[0]:
             raise ValueError(
                 f"k={spec.hyperparameters['k']} exceeds training size {X.shape[0]}")
-        return cls(spec, X.shape[1], X, y)
+        return cls(spec, X.shape[1], train_X=X, train_y=y)
 
     def staged_predict_sets(self, X, values):
         X = self._check_arity(X)
@@ -54,18 +50,14 @@ class KnnModel(TrainedModel):
             out[k] = PredictionSet(labels=labels, probabilities=probs)
         return out
 
-    def to_state(self):
-        return {"train_X": self.train_X.tolist(),
-                "train_y": self.train_y.tolist()}
-
     @classmethod
     def from_state(cls, spec, feature_arity, state):
         train_X = np.array(state["train_X"], dtype=np.float64)
         train_y = np.array(state["train_y"], dtype=np.int64)
         k = spec.hyperparameters["k"]
         if (train_y.ndim != 1 or train_X.shape != (len(train_y), feature_arity)
-                or len(train_y) < k):
+                or len(train_y) < k or not np.all((train_y == 0) | (train_y == 1))):
             raise ValueError(f"KNN state: train_X of shape {train_X.shape} and "
-                             f"train_y of shape {train_y.shape} do not hold at "
-                             f"least k={k} rows of {feature_arity} features")
-        return cls(spec, feature_arity, train_X, train_y)
+                             f"train_y of shape {train_y.shape} do not hold at least "
+                             f"k={k} rows of {feature_arity} features labelled 0 or 1")
+        return cls(spec, feature_arity, train_X=train_X, train_y=train_y)

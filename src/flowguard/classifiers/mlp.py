@@ -67,6 +67,7 @@ class MlpModel(TrainedModel):
     default_grid = {"learning_rate": (0.01, 0.001)}
     positive = ("learning_rate", "batch_size", "epochs")
     needs_two_classes = True
+    state_fields = ("weights", "biases", "loss_curve")
 
     @classmethod
     def check_hyperparameters(cls, hp):
@@ -76,12 +77,6 @@ class MlpModel(TrainedModel):
             raise ValueError("MLP momentum must lie in [0, 1)")
         if any(h < 1 for h in hp["hidden_sizes"]):
             raise ValueError("MLP hidden layer sizes must be >= 1")
-
-    def __init__(self, spec, feature_arity, weights, biases, loss_curve):
-        super().__init__(spec, feature_arity)
-        self.weights = weights
-        self.biases = biases
-        self.loss_curve = list(loss_curve)
 
     @classmethod
     def fit(cls, spec, X, y):
@@ -108,17 +103,12 @@ class MlpModel(TrainedModel):
                     weights[i] = weights[i] + vel_w[i]
                     biases[i] = biases[i] + vel_b[i]
             loss_curve.append(bce_loss(weights, biases, X, y))
-        return cls(spec, d, weights, biases, loss_curve)
+        return cls(spec, d, weights=weights, biases=biases, loss_curve=loss_curve)
 
     def predict_proba(self, X):
         X = self._check_arity(X)
         logits, _ = _forward_logits(self.weights, self.biases, X)
         return sigmoid(logits)
-
-    def to_state(self):
-        return {"weights": [W.tolist() for W in self.weights],
-                "biases": [b.tolist() for b in self.biases],
-                "loss_curve": list(self.loss_curve)}
 
     @classmethod
     def from_state(cls, spec, feature_arity, state):
@@ -129,7 +119,8 @@ class MlpModel(TrainedModel):
                 or [b.shape for b in biases] != [(s,) for s in sizes[1:]]):
             raise ValueError(f"MLP state: weight and bias shapes do not chain "
                              f"layer sizes {sizes}")
-        return cls(spec, feature_arity, weights, biases, state["loss_curve"])
+        return cls(spec, feature_arity, weights=weights, biases=biases,
+                   loss_curve=list(state["loss_curve"]))
 
 
 def gradient_check(spec, dataset, step: float = 1e-5) -> float:

@@ -92,7 +92,7 @@ def _fit_platt(decision, y):
             step *= 0.5
         else:
             break  # line search exhausted; accept current parameters
-    return a, b
+    return float(a), float(b)
 
 
 class LinearSvcModel(TrainedModel):
@@ -102,12 +102,7 @@ class LinearSvcModel(TrainedModel):
     default_grid = {"reg_lambda": (1e-3, 1e-4)}
     positive = ("reg_lambda", "epochs")
     needs_two_classes = True
-
-    def __init__(self, spec, feature_arity, w, platt_a, platt_b):
-        super().__init__(spec, feature_arity)
-        self.w = np.asarray(w, dtype=np.float64)
-        self.platt_a = float(platt_a)
-        self.platt_b = float(platt_b)
+    state_fields = ("w", "platt_a", "platt_b")
 
     @classmethod
     def fit(cls, spec, X, y):
@@ -127,15 +122,11 @@ class LinearSvcModel(TrainedModel):
         platt_a, platt_b = _fit_platt(decision, y)
 
         w = _fit_weights(X, y, lam, epochs, spec.seed)
-        return cls(spec, X.shape[1], w, platt_a, platt_b)
+        return cls(spec, X.shape[1], w=w, platt_a=platt_a, platt_b=platt_b)
 
     def predict_proba(self, X):
         f = self._check_arity(X) @ self.w[:-1] + self.w[-1]
         return sigmoid(-(self.platt_a * f + self.platt_b))
-
-    def to_state(self):
-        return {"w": self.w.tolist(), "platt_a": self.platt_a,
-                "platt_b": self.platt_b}
 
     @classmethod
     def from_state(cls, spec, feature_arity, state):
@@ -143,4 +134,5 @@ class LinearSvcModel(TrainedModel):
         if w.shape != (feature_arity + 1,):
             raise ValueError(f"SVC state: w has shape {w.shape}, not "
                              f"({feature_arity + 1},) for {feature_arity} features")
-        return cls(spec, feature_arity, w, state["platt_a"], state["platt_b"])
+        return cls(spec, feature_arity, w=w, platt_a=float(state["platt_a"]),
+                   platt_b=float(state["platt_b"]))

@@ -19,7 +19,7 @@ every candidate feature of a node in a single (features x rows) block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,12 +34,13 @@ class TreeNodes:
     right: np.ndarray      # int64 child index
     value: np.ndarray      # float64 leaf payload
 
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = np.float64 if f.name in ("threshold", "value") else np.int64
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+
     def to_state(self) -> dict:
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(),
-                "right": self.right.tolist(),
-                "value": self.value.tolist()}
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
 class _TreeBuilder:
@@ -59,11 +60,8 @@ class _TreeBuilder:
         return len(self.feature) - 1
 
     def finish(self) -> TreeNodes:
-        return TreeNodes(feature=np.array(self.feature, dtype=np.int64),
-                         threshold=np.array(self.threshold, dtype=np.float64),
-                         left=np.array(self.left, dtype=np.int64),
-                         right=np.array(self.right, dtype=np.int64),
-                         value=np.array(self.value, dtype=np.float64))
+        return TreeNodes(self.feature, self.threshold, self.left, self.right,
+                         self.value)
 
 
 def trees_from_state(states, count, arity) -> list:
@@ -77,12 +75,7 @@ def trees_from_state(states, count, arity) -> list:
     """
     if len(states) != count:
         raise ValueError(f"state holds {len(states)} trees, not {count}")
-    trees = [TreeNodes(feature=np.array(s["feature"], dtype=np.int64),
-                       threshold=np.array(s["threshold"], dtype=np.float64),
-                       left=np.array(s["left"], dtype=np.int64),
-                       right=np.array(s["right"], dtype=np.int64),
-                       value=np.array(s["value"], dtype=np.float64))
-             for s in states]
+    trees = [TreeNodes(*(s[f.name] for f in fields(TreeNodes))) for s in states]
     sizes = [t.feature.size for t in trees]
     for t, n in zip(trees, sizes):
         if not (n > 0 and (n,) == t.feature.shape == t.threshold.shape

@@ -182,10 +182,10 @@ def _cmd_run(args):
     out_dir = Path(args.out)
     try:
         write_report_files(report, out_dir)
+        if args.save_models:
+            _save_track_models(report, out_dir, args.label_column)
     except OSError as exc:
         _fail("write", exc)
-    if args.save_models:
-        _save_track_models(report, out_dir, args.label_column)
     _print_summary(report)
     print(f"report written to {out_dir / 'report.json'}")
     return 0
@@ -266,7 +266,10 @@ def _cmd_evaluate(args):
         lines = ["row,label,probability"]
         for i in range(ds.n_rows):
             lines.append(f"{i},{int(pred.labels[i])},{float(pred.probabilities[i])!r}")
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as exc:
+            _fail("write", exc)
         print(f"predictions written to {args.out}")
     return 0
 

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("at least one track must be enabled")
         if not self.models:
             raise ValueError("at least one model must be enabled")
+        if len(set(self.tracks)) < len(self.tracks):
+            raise ValueError(f"tracks {self.tracks} name a track more than once")
         if len(set(self.models)) < len(self.models):
             raise ValueError(f"models {self.models} name a kind more than once")
         for kind, grid in self.grids.items():
@@ -237,9 +239,7 @@ class PipelineState:
             names = None if names is None else _tupled(names, str)
             selected = None if selected is None else _tupled(selected, int)
             maps = {k: _tupled(v, str) for k, v in data.get("category_maps", {}).items()}
-            if (any(a.shape != (d,) for a in (scaler.mean, scaler.scale,
-                                              scaler.constant_mask))
-                    or names is not None and len(names) != d
+            if (names is not None and len(names) != d
                     or not all(0 <= i < d for i in selected or ())):
                 raise ValueError(f"entries that do not fit a scaler of {d} features")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -604,9 +604,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "tracks": cfg.tracks,
         "models": [clf.learner(k).report_name for k in cfg.models],
         "grids": {clf.learner(k).report_name: grid for k, grid in cfg.grids.items()},
-        "smote": {"k_neighbors": cfg.smote.k_neighbors,
-                  "target_ratio": cfg.smote.target_ratio, "seed": cfg.smote.seed},
-        "lof": {"k_neighbors": cfg.lof.k_neighbors, "threshold": cfg.lof.threshold},
+        "smote": dataclasses.asdict(cfg.smote),
+        "lof": dataclasses.asdict(cfg.lof),
         "select_top_m": cfg.select_top_m,
     }
 
@@ -618,11 +617,8 @@ def _model_to_dict(m: ModelResult) -> dict:
         "hyperparameters": m.hyperparameters,
         "training_accuracy": m.training_accuracy,
         "mean_cv_accuracy": m.mean_cv_accuracy,
-        "folds": [{"fold": fr.fold, "train_accuracy": fr.train_accuracy,
-                   "validation_accuracy": fr.validation_accuracy}
-                  for fr in m.folds],
-        "grid": [{"params": gp.params, "mean_cv_accuracy": gp.mean_cv_accuracy,
-                  "error": gp.error} for gp in m.grid_trace],
+        "folds": [dataclasses.asdict(fr) for fr in m.folds],
+        "grid": [dataclasses.asdict(gp) for gp in m.grid_trace],
         "test": m.test.to_dict(),
     }
 

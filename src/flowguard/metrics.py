@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,19 +92,7 @@ class MetricsReport:
     degenerate: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "kappa": self.kappa,
-            "mcc": self.mcc,
-            "brier": self.brier,
-            "confusion": {"tp": self.confusion.tp, "tn": self.confusion.tn,
-                          "fp": self.confusion.fp, "fn": self.confusion.fn},
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def _as_binary(arr, name):

@@ -7,7 +7,7 @@ remains. Test data only ever sees the fitted scaler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,11 +28,15 @@ class Scaler:
     constant_mask: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "scale", "constant_mask"):
-            arr = np.array(getattr(self, name),
-                           dtype=bool if name == "constant_mask" else np.float64)
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name),
+                           dtype=bool if f.name == "constant_mask" else np.float64)
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, f.name, arr)
+        if self.mean.ndim != 1 or not (self.mean.shape == self.scale.shape
+                                       == self.constant_mask.shape):
+            raise ValueError("scaler mean, scale and constant_mask must be 1-d "
+                             "arrays of one length")
 
     @property
     def n_features(self):
@@ -106,17 +110,11 @@ def apply_scaler(scaler: Scaler, ds: Dataset) -> Dataset:
 
 
 def scaler_to_dict(scaler: Scaler) -> dict:
-    return {
-        "mean": scaler.mean.tolist(),
-        "scale": scaler.scale.tolist(),
-        "constant_mask": [bool(b) for b in scaler.constant_mask],
-    }
+    return {f.name: getattr(scaler, f.name).tolist() for f in fields(scaler)}
 
 
 def scaler_from_dict(data: dict) -> Scaler:
-    return Scaler(mean=np.array(data["mean"], dtype=np.float64),
-                  scale=np.array(data["scale"], dtype=np.float64),
-                  constant_mask=np.array(data["constant_mask"], dtype=bool))
+    return Scaler(**{f.name: data[f.name] for f in fields(Scaler)})
 
 
 def _minority_label(counts) -> int:

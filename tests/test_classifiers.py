@@ -261,6 +261,12 @@ def test_persistence_round_trip_all_kinds(tmp_path):
                               model.predict_proba(probe)), kind
         a, b = loaded.predict_set(probe), model.predict_set(probe)
         assert np.array_equal(a.labels, b.labels)
+        # the state lists the declared fields in order, and a reloaded
+        # model saves to the same bytes
+        assert list(model.to_state()) == list(type(model).state_fields), kind
+        again = tmp_path / f"{kind.lower()}_again.json"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes(), kind
 
 
 def _reference_scores(model, X):

@@ -333,6 +333,7 @@ def point_child_at(tree, child):
 @pytest.mark.parametrize("name, edit", [
     ("knn", lambda s: s.update(train_y=s["train_y"][:1])),
     ("knn", lambda s: s.update(train_X=[row[:-1] for row in s["train_X"]])),
+    ("knn", lambda s: s["train_y"].__setitem__(0, 5)),
     ("rf", lambda s: s["trees"][0].update(left=s["trees"][0]["left"][:1])),
     ("rf", lambda s: s["trees"][1]["feature"].__setitem__(0, 5)),
     ("rf", lambda s: s["trees"].pop()),
@@ -344,9 +345,10 @@ def point_child_at(tree, child):
     ("mlp", lambda s: s["biases"][-1].append(0.0)),
     ("mlp", lambda s: s.update(weights=s["weights"][:-1], biases=s["biases"][:-1])),
     ("svc", lambda s: s["w"].pop()),
-], ids=["knn_labels", "knn_columns", "rf_tree_arrays", "rf_feature", "rf_tree_count",
-        "rf_importance", "xgb_tree_arrays", "xgb_child_past_end", "xgb_empty_tree",
-        "mlp_weight_rows", "mlp_bias", "mlp_layers", "svc_weights"])
+], ids=["knn_labels", "knn_columns", "knn_label_not_binary", "rf_tree_arrays",
+        "rf_feature", "rf_tree_count", "rf_importance", "xgb_tree_arrays",
+        "xgb_child_past_end", "xgb_empty_tree", "mlp_weight_rows", "mlp_bias",
+        "mlp_layers", "svc_weights"])
 def test_evaluate_refuses_inconsistent_model_state(corpus, finished_run, tmp_path,
                                                    capsys, name, edit):
     doc = json.loads((finished_run / f"model_{name}_balanced.json").read_text())
@@ -428,6 +430,34 @@ def test_missing_paths_fail_cleanly(capsys, tmp_path):
     assert main(["evaluate", "--model", str(tmp_path / "no.json"),
                  "--data", str(tmp_path / "no.csv")]) == 1
     assert "error[model]" in capsys.readouterr().err
+
+
+def test_run_refuses_a_track_named_twice(corpus, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--data", str(corpus), "--tracks", "balanced,balanced",
+                 "--folds", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]:") and "more than once" in err, err
+    assert not out.exists()
+
+
+def test_evaluate_reports_an_unwritable_predictions_file(corpus, finished_run,
+                                                         tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(finished_run / "model_rf_balanced.json"),
+                 "--data", str(corpus), "--out",
+                 str(tmp_path / "missing" / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[write]:"), err
+
+
+def test_run_reports_a_bundle_it_cannot_write(corpus, tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "model_rf_imbalanced.json").mkdir(parents=True)
+    assert main(["run", "--data", str(corpus), "--tracks", "imbalanced",
+                 "--folds", "3", "--out", str(out), "--save-models"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[write]:") and "model_rf_imbalanced.json" in err, err
 
 
 def test_config_file_with_flag_override(corpus, tmp_path, capsys):

@@ -63,6 +63,8 @@ def test_config_validation():
         ExperimentConfig(models=("RF",), grids={"RF": {"n_tree": (5,)}})
     with pytest.raises(ValueError, match="more than once"):
         ExperimentConfig(models=("RF", "RF"))
+    with pytest.raises(ValueError, match="more than once"):
+        ExperimentConfig(tracks=("balanced", "balanced"))
     cfg = ExperimentConfig(models=["RF"], grids={"RF": {"n_trees": [5, 9]}})
     assert cfg.grids["RF"]["n_trees"] == (5, 9)
 

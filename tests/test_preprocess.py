@@ -65,6 +65,10 @@ def test_scaler_serialization_round_trip():
     assert np.array_equal(back.mean, sc.mean)
     assert np.array_equal(back.scale, sc.scale)
     assert np.array_equal(back.constant_mask, sc.constant_mask)
+    doc = scaler_to_dict(sc)
+    doc["scale"] = doc["scale"][:-1]
+    with pytest.raises(ValueError, match="1-d arrays of one length"):
+        scaler_from_dict(doc)
 
 
 def test_scaler_arity_check():

@@ -26,7 +26,7 @@ from .boosting import GradientBoostedTreesModel
 from .forest import RandomForestModel
 from .knn import KnnModel
 from .mlp import MlpModel, gradient_check
-from .persistence import load_model, save_model
+from .persistence import load_model, read_json, save_model
 from .svc import LinearSvcModel
 
 # Report order matches the result-table convention: RF, SVC, KNN, MLP, XGB.
@@ -77,5 +77,5 @@ def predict(model: TrainedModel, dataset: Dataset) -> PredictionSet:
 
 __all__ = [
     "LEARNERS", "MODEL_KINDS", "ModelSpec", "gradient_check", "learner",
-    "load_model", "make_spec", "predict", "save_model", "train",
+    "load_model", "make_spec", "predict", "read_json", "save_model", "train",
 ]

@@ -34,19 +34,29 @@ def save_model(model, path, pipeline: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a finite number")
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file, refusing the NaN, Infinity and
+    -Infinity tokens that Python's json would read as non-finite floats."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_refuse_constant)
+
+
 def load_model(path):
     """Returns (model, pipeline_dict_or_None); ValueError if the file is not
     a well-formed model file, or if its learned state does not fit its
     kind, hyperparameters and feature arity."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"malformed model file {path!r}: not a JSON object")
-    if doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path!r} is not a {FORMAT_TAG} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model file version {doc.get('version')!r}")
     try:
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        if doc.get("format") != FORMAT_TAG:
+            raise ValueError(f"not a {FORMAT_TAG} file")
+        if doc.get("version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported model file version {doc.get('version')!r}")
         spec = ModelSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"],
                          seed=doc["seed"])
         arity = doc["feature_arity"]

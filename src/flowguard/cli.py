@@ -9,8 +9,8 @@ summary prints is also present (at full precision) in the serialized report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -32,8 +32,14 @@ class StageError(Exception):
         self.stage = stage
 
 
-def _fail(stage, exc):
-    raise StageError(stage, str(exc)) from exc
+@contextlib.contextmanager
+def _stage(name):
+    """Turns bad input (ValueError) or a failed read or write (OSError) raised
+    in the block into StageError(name). Any other exception is a bug."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 # Config-file keys (flat JSON) mirroring the scalar ExperimentConfig fields.
@@ -76,21 +82,18 @@ def _parse_synth_spec(text):
 
 
 def _load_config_file(path):
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail("config", exc)
+    raw = clf.read_json(path)
     if not isinstance(raw, dict):
-        _fail("config", ValueError("config file must hold a flat JSON object"))
+        raise ValueError("config file must hold a flat JSON object")
     out = {}
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
-            _fail("config", ValueError(f"unknown config key {key!r}"))
+            raise ValueError(f"unknown config key {key!r}")
         if value is not None:
             try:
                 out[key] = _config_value(_CONFIG_KEYS[key], value)
             except (TypeError, ValueError) as exc:
-                _fail("config", ValueError(f"bad value for {key!r}: {exc}"))
+                raise ValueError(f"bad value for {key!r}: {exc}") from exc
     return out
 
 
@@ -98,7 +101,7 @@ def _config_value(kind, value):
     """``kind(value)``, refusing what the conversion would silently change."""
     if kind is str and not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
-    if isinstance(value, bool):
+    if kind is not str and isinstance(value, (bool, str)):
         raise TypeError(f"expected a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
@@ -108,15 +111,9 @@ def _config_value(kind, value):
 def _build_experiment_config(args):
     """ExperimentConfig from the settings given; the dataclasses default the rest."""
     settings = _load_config_file(args.config) if args.config else {}
-    # Flags override file values.
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.folds is not None:
-        settings["cv_folds"] = args.folds
-    if args.ratio is not None:
-        settings["split_ratio"] = args.ratio
-    if args.tracks is not None:
-        settings["tracks"] = args.tracks
+    for key in _CONFIG_KEYS:  # a flag, named by the key it sets, beats the file
+        if (flag := getattr(args, key, None)) is not None:
+            settings[key] = flag
     fields = {}
     stages = {"smote": {}, "lof": {}}  # keywords of SmoteConfig and LofConfig
     for key, value in settings.items():
@@ -127,29 +124,19 @@ def _build_experiment_config(args):
             fields[key] = tuple(t.strip() for t in value.split(",") if t.strip())
         else:
             fields[key] = value
-    try:
-        return ExperimentConfig(smote=SmoteConfig(**stages["smote"]),
-                                lof=LofConfig(**stages["lof"]), **fields)
-    except ValueError as exc:
-        _fail("config", exc)
+    return ExperimentConfig(smote=SmoteConfig(**stages["smote"]),
+                            lof=LofConfig(**stages["lof"]), **fields)
 
 
 def _load_dataset(args):
-    if (args.data is None) == (args.synth is None):
-        _fail("load", ValueError("exactly one of --data or --synth is required"))
-    if args.synth is not None:
-        try:
+    with _stage("load"):
+        if (args.data is None) == (args.synth is None):
+            raise ValueError("exactly one of --data or --synth is required")
+        if args.synth is not None:
             return generate(_parse_synth_spec(args.synth))
-        except ValueError as exc:
-            _fail("load", exc)
-    try:
         ds = load_csv(args.data, label_column=args.label_column)
-    except ValueError as exc:
-        _fail("load", exc)
-    try:
+    with _stage("clean"):
         return encode_categoricals(impute_missing(ds))
-    except ValueError as exc:
-        _fail("clean", exc)
 
 
 def _print_summary(report):
@@ -174,18 +161,15 @@ def _print_summary(report):
 
 def _cmd_run(args):
     ds = _load_dataset(args)
-    cfg = _build_experiment_config(args)
-    try:
+    with _stage("config"):
+        cfg = _build_experiment_config(args)
+    with _stage("experiment"):
         report = run_full_experiment(cfg, ds)
-    except ValueError as exc:
-        _fail("experiment", exc)
     out_dir = Path(args.out)
-    try:
+    with _stage("write"):
         write_report_files(report, out_dir)
         if args.save_models:
             _save_track_models(report, out_dir, args.label_column)
-    except OSError as exc:
-        _fail("write", exc)
     _print_summary(report)
     print(f"report written to {out_dir / 'report.json'}")
     return 0
@@ -202,10 +186,8 @@ def _save_track_models(report, out_dir, label_column):
 
 
 def _cmd_inspect(args):
-    try:
+    with _stage("load"):
         ds = load_csv(args.data, label_column=args.label_column)
-    except ValueError as exc:
-        _fail("load", exc)
     dist = label_distribution(ds)
     print(f"path: {args.data}")
     print(f"rows: {ds.n_rows}")
@@ -219,12 +201,10 @@ def _cmd_inspect(args):
 
 
 def _cmd_synth(args):
-    try:
+    with _stage("synth"):
         given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)
                  if getattr(args, f.name) is not None}
         ds = write_csv(SynthConfig(**given), args.out)
-    except (ValueError, OSError) as exc:
-        _fail("synth", exc)
     dist = label_distribution(ds)
     print(f"wrote {ds.n_rows} rows ({dist.benign_count} benign / "
           f"{dist.ddos_count} ddos, {ds.n_features} features) to {args.out}")
@@ -232,26 +212,20 @@ def _cmd_synth(args):
 
 
 def _cmd_evaluate(args):
-    try:
+    with _stage("model"):
         model, pipeline = clf.load_model(args.model)
         state = PipelineState.from_dict(pipeline)
-    except (OSError, ValueError) as exc:
-        _fail("model", exc)
     label_column = args.label_column or pipeline.get("label_column",
                                                      DEFAULT_LABEL_COLUMN)
-    try:
+    with _stage("load"):
         # A column the model encodes by category stays text, even where its
         # tokens look like numbers (protocol numbers such as 6 and 17).
         ds = state.prepare(load_csv(args.data, label_column=label_column,
                                     text_columns=tuple(state.category_maps)))
-    except ValueError as exc:
-        _fail("load", exc)
-    try:
+    with _stage("evaluate"):
         ds = state.transform(ds)
         pred = clf.predict(model, ds)
         report = evaluate_capture(ds.y, pred.labels, pred.probabilities)
-    except ValueError as exc:
-        _fail("evaluate", exc)
     print(f"model: {args.model} (kind {model.kind})")
     print(f"rows: {ds.n_rows}")
     for key, value in report.to_dict().items():
@@ -266,10 +240,8 @@ def _cmd_evaluate(args):
         lines = ["row,label,probability"]
         for i in range(ds.n_rows):
             lines.append(f"{i},{int(pred.labels[i])},{float(pred.probabilities[i])!r}")
-        try:
+        with _stage("write"):
             Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        except OSError as exc:
-            _fail("write", exc)
         print(f"predictions written to {args.out}")
     return 0
 
@@ -288,8 +260,11 @@ def build_parser():
     run.add_argument("--label-column", default=DEFAULT_LABEL_COLUMN)
     run.add_argument("--tracks", help="comma list: imbalanced,balanced")
     run.add_argument("--seed", type=int)
-    run.add_argument("--folds", type=int, help="cross-validation folds")
-    run.add_argument("--ratio", type=float, help="train split ratio")
+    # --folds and --ratio store under the config keys they override.
+    run.add_argument("--folds", type=int, dest="cv_folds", metavar="FOLDS",
+                     help="cross-validation folds")
+    run.add_argument("--ratio", type=float, dest="split_ratio", metavar="RATIO",
+                     help="train split ratio")
     run.add_argument("--out", default="out", help="output directory")
     run.add_argument("--config", help="flat JSON config file (flags override)")
     run.add_argument("--save-models", action="store_true",

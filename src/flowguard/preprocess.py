@@ -52,8 +52,8 @@ class SmoteConfig:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if not self.target_ratio > 0:
-            raise ValueError("target_ratio must be positive")
+        if not 0 < self.target_ratio < np.inf:
+            raise ValueError("target_ratio must be positive and finite")
 
 
 @dataclass(frozen=True)

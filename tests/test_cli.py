@@ -305,12 +305,18 @@ def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, cap
     assert err.startswith("error[model]: malformed model pipeline"), err
 
 
+def with_nan_scaler_mean(doc):
+    doc["pipeline"]["scaler"]["mean"][0] = float("nan")
+    return doc
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: [1, 2],
     lambda doc: {**doc, "hyperparameters": [1]},
     lambda doc: {**doc, "state": [1]},
     lambda doc: {k: v for k, v in doc.items() if k != "feature_arity"},
-], ids=["list", "hyperparameters_list", "state_list", "no_arity"])
+    with_nan_scaler_mean,  # json.dumps writes NaN, which json would read back
+], ids=["list", "hyperparameters_list", "state_list", "no_arity", "scaler_mean_nan"])
 def test_evaluate_refuses_malformed_model_file(corpus, finished_run, tmp_path, capsys,
                                               edit):
     doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
@@ -345,10 +351,17 @@ def point_child_at(tree, child):
     ("mlp", lambda s: s["biases"][-1].append(0.0)),
     ("mlp", lambda s: s.update(weights=s["weights"][:-1], biases=s["biases"][:-1])),
     ("svc", lambda s: s["w"].pop()),
+    # json.dumps writes Infinity and NaN tokens, which json would read back
+    ("mlp", lambda s: s["biases"][-1].__setitem__(0, float("inf"))),
+    ("svc", lambda s: s.update(platt_a=float("nan"))),
+    ("xgb", lambda s: s["trees"][0]["value"].__setitem__(
+        s["trees"][0]["feature"].index(-1), float("nan"))),
+    ("knn", lambda s: s["train_X"][0].__setitem__(0, float("nan"))),
 ], ids=["knn_labels", "knn_columns", "knn_label_not_binary", "rf_tree_arrays",
         "rf_feature", "rf_tree_count", "rf_importance", "xgb_tree_arrays",
         "xgb_child_past_end", "xgb_empty_tree", "mlp_weight_rows", "mlp_bias",
-        "mlp_layers", "svc_weights"])
+        "mlp_layers", "svc_weights", "mlp_bias_infinite", "svc_platt_nan",
+        "xgb_leaf_nan", "knn_train_nan"])
 def test_evaluate_refuses_inconsistent_model_state(corpus, finished_run, tmp_path,
                                                    capsys, name, edit):
     doc = json.loads((finished_run / f"model_{name}_balanced.json").read_text())
@@ -473,6 +486,23 @@ def test_config_file_with_flag_override(corpus, tmp_path, capsys):
     assert report["config"]["cv_folds"] == 3  # flag beats file
     assert report["config"]["seed"] == 9
     assert [t["track"] for t in report["tracks"]] == ["imbalanced"]
+    # every flag beats its file value
+    from flowguard.cli import _build_experiment_config, build_parser
+
+    cfg_path.write_text(json.dumps({"cv_folds": 4, "seed": 9, "split_ratio": 0.6,
+                                    "tracks": "imbalanced"}))
+    cfg = _build_experiment_config(build_parser().parse_args(
+        ["run", "--config", str(cfg_path), "--folds", "3", "--seed", "5",
+         "--ratio", "0.7", "--tracks", "balanced"]))
+    assert (cfg.cv_folds, cfg.seed, cfg.split_ratio, cfg.tracks) == (
+        3, 5, 0.7, ("balanced",))
+
+
+def test_run_help_names_folds_and_ratio(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    assert "--folds FOLDS" in out and "--ratio RATIO" in out
 
 
 def test_run_without_settings_uses_config_defaults(corpus, tmp_path, capsys):
@@ -503,6 +533,8 @@ def test_config_rejects_unknown_keys(corpus, tmp_path, capsys):
     ("split_ratio", True),
     ("tracks", 3),
     ("tracks", ["imbalanced"]),
+    ("seed", "3"),            # a number written as a string
+    ("split_ratio", "0.5"),
 ])
 def test_config_rejects_values_a_conversion_would_change(corpus, tmp_path, capsys,
                                                         key, value):
@@ -512,6 +544,21 @@ def test_config_rejects_values_a_conversion_would_change(corpus, tmp_path, capsy
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error[config]" in err and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [
+    b'{"seed": 1, "x": "\xff"}',           # not UTF-8
+    b'{"smote_target_ratio": Infinity}',   # json would read inf
+    b'{"smote_target_ratio": 1e999}',      # json reads inf
+], ids=["not_utf8", "infinity", "overflow"])
+def test_config_file_must_be_utf8_json_with_finite_numbers(corpus, tmp_path, capsys,
+                                                          text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    assert main(["run", "--data", str(corpus), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error[config]:")
     assert not (tmp_path / "o").exists()
 
 

@@ -237,3 +237,8 @@ def test_lof_config_validation():
         LofConfig(k_neighbors=0, threshold=1.5)
     with pytest.raises(ValueError):
         LofConfig(k_neighbors=5, threshold=1.0)
+
+
+def test_smote_config_refuses_an_infinite_ratio():
+    with pytest.raises(ValueError, match="target_ratio"):
+        SmoteConfig(target_ratio=math.inf)

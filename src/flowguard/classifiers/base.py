@@ -10,6 +10,7 @@ one method, and ``TrainedModel`` derives the others from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,8 +71,8 @@ class TrainedModel:
     - ``report_name``: its name in reports and file names, e.g. "xgb";
     - ``defaults``: every hyperparameter with its default, in report order;
     - ``default_grid``: the values an experiment searches unless told;
-    - ``positive``: the hyperparameters that must be > 0 (a learner with
-      further range rules extends ``check_hyperparameters``);
+    - ``positive``: the hyperparameters that must be finite and > 0 (a
+      learner with further range rules extends ``check_hyperparameters``);
     - ``needs_two_classes``: training on one class raises, because the
       objective degenerates, instead of giving a constant predictor;
     - ``state_fields``: the learned attributes in bundle ``state`` order;
@@ -106,9 +107,9 @@ class TrainedModel:
         """Raise ValueError for a value out of range; may normalize hp in
         place."""
         for key in cls.positive:
-            if not hp[key] > 0:
+            if not (hp[key] > 0 and math.isfinite(hp[key])):
                 raise ValueError(f"{cls.kind} hyperparameter {key} must be "
-                                 f"positive, got {hp[key]}")
+                                 f"positive and finite, got {hp[key]}")
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-1 probabilities; a learner without stages overrides this."""
@@ -163,6 +164,16 @@ def _jsonable(value):
     if isinstance(value, list):
         return [_jsonable(v) for v in value]
     return value
+
+
+def all_finite(value) -> bool:
+    """Whether every number in a learned attribute is finite; JSON reads a
+    literal too large for a float, such as 1e999, as inf."""
+    if isinstance(value, TreeNodes):
+        return all_finite(value.threshold) and all_finite(value.value)
+    if isinstance(value, list):
+        return all(all_finite(v) for v in value)
+    return bool(np.all(np.isfinite(value)))
 
 
 def thresholded(probs) -> PredictionSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .base import ModelSpec
+from .base import ModelSpec, all_finite
 
 FORMAT_TAG = "flowguard-model"
 FORMAT_VERSION = 1
@@ -47,8 +47,8 @@ def read_json(path):
 
 def load_model(path):
     """Returns (model, pipeline_dict_or_None); ValueError if the file is not
-    a well-formed model file, or if its learned state does not fit its
-    kind, hyperparameters and feature arity."""
+    a well-formed model file, or if its learned state is not finite or does
+    not fit its kind, hyperparameters and feature arity."""
     try:
         doc = read_json(path)
         if not isinstance(doc, dict):
@@ -63,6 +63,9 @@ def load_model(path):
         if type(arity) is not int or arity < 1:
             raise ValueError(f"feature_arity {arity!r} is not a positive integer")
         model = spec.learner.from_state(spec, arity, doc["state"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        for name in model.state_fields:
+            if not all_finite(getattr(model, name)):
+                raise ValueError(f"{spec.kind} state {name} holds a non-finite number")
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path!r}: {exc!r}") from exc
     return model, doc.get("pipeline")

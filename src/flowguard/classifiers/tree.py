@@ -43,32 +43,11 @@ class TreeNodes:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def add(self):
-        self.feature.append(LEAF)
-        self.threshold.append(0.0)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def finish(self) -> TreeNodes:
-        return TreeNodes(self.feature, self.threshold, self.left, self.right,
-                         self.value)
-
-
 def trees_from_state(states, count, arity) -> list:
     """The ``count`` trees that ``TreeNodes.to_state`` wrote, for rows of
     ``arity`` features.
 
-    ValueError unless each is a tree the builder could have made: five
+    ValueError unless each is a tree ``_grow`` could have made: five
     arrays of one length, each feature LEAF or a column index, and each
     internal node's children after it in its arrays. The checks run once
     over the nodes of all trees together.
@@ -156,26 +135,24 @@ def _grow(X, order, split_node) -> TreeNodes:
     each row falls on, so no node sorts.
     """
     d = order.shape[0]
-    builder = _TreeBuilder()
-    stack = [(np.arange(X.shape[0]), order, 0, builder.add())]
+    leaf = [LEAF, 0.0, LEAF, LEAF, 0.0]  # feature, threshold, left, right, value
+    nodes = [leaf.copy()]
+    stack = [(np.arange(X.shape[0]), order, 0, 0)]
     while stack:
         idx, rows, depth, slot = stack.pop()
-        builder.value[slot], split = split_node(idx, rows, depth)
+        nodes[slot][4], split = split_node(idx, rows, depth)
         if split is None:
             continue
         f, thr = split
         col = X[:, f]
         go_left = col[idx] < thr
         side = col[rows] < thr
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.feature[slot] = f
-        builder.threshold[slot] = thr
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        stack.append((idx[~go_left], rows[~side].reshape(d, -1), depth + 1, right_slot))
-        stack.append((idx[go_left], rows[side].reshape(d, -1), depth + 1, left_slot))
-    return builder.finish()
+        left = len(nodes)
+        nodes[slot][:4] = f, thr, left, left + 1
+        nodes += [leaf.copy(), leaf.copy()]
+        stack.append((idx[~go_left], rows[~side].reshape(d, -1), depth + 1, left + 1))
+        stack.append((idx[go_left], rows[side].reshape(d, -1), depth + 1, left))
+    return TreeNodes(*zip(*nodes))
 
 
 def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,

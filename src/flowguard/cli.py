@@ -92,7 +92,7 @@ def _load_config_file(path):
         if value is not None:
             try:
                 out[key] = _config_value(_CONFIG_KEYS[key], value)
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for {key!r}: {exc}") from exc
     return out
 

@@ -242,7 +242,7 @@ class PipelineState:
             if (names is not None and len(names) != d
                     or not all(0 <= i < d for i in selected or ())):
                 raise ValueError(f"entries that do not fit a scaler of {d} features")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model pipeline: {exc!r}") from exc
         return cls(scaler=scaler, selected=selected, feature_names=names,
                    category_maps=maps)

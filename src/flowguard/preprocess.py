@@ -37,6 +37,8 @@ class Scaler:
                                        == self.constant_mask.shape):
             raise ValueError("scaler mean, scale and constant_mask must be 1-d "
                              "arrays of one length")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.scale).all()):
+            raise ValueError("scaler mean and scale must be finite")
 
     @property
     def n_features(self):
@@ -64,8 +66,9 @@ class LofConfig:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if not self.threshold > 1.0:
-            raise ValueError("threshold must exceed 1.0 (LOF of uniform data)")
+        if not 1.0 < self.threshold < np.inf:
+            raise ValueError("threshold must be finite and exceed 1.0 (LOF of "
+                             "uniform data)")
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,8 @@ def fit_scaler(train: Dataset) -> Scaler:
     """Per-feature mean and population (1/n) standard deviation.
 
     Columns whose values are all identical get scale 1 and are flagged in
-    constant_mask so standardization maps them to exactly zero.
+    constant_mask for the report. Standardization maps them to x - mean,
+    not always exactly zero: seven 0.1 values have mean 0.10000000000000002.
     """
     _require_numeric(train, "fit_scaler")
     if train.n_rows == 0:

@@ -6,9 +6,11 @@ plain lists instead of arrays.  Agreement between these and the fast
 numpy paths is therefore meaningful evidence, not a tautology.
 
 The tree builders are the exception: they are the per-node, per-feature
-sorting search that the presorted split kernel replaced, kept as they
-were so that trees can be compared bit for bit. So are the per-point grid
-search, which trains every grid point in every fold, the
+sorting search that the presorted split kernel replaced. Each keeps its
+own node list, sharing no tree-growing code with the library, in the
+library's node order (the root first; a split appends its left child,
+then its right), so that trees can be compared bit for bit. So are the
+per-point grid search, which trains every grid point in every fold, the
 ``--save-models`` writer that retrains every final model to save it, and
 the row-wise LOF, which keeps a neighbour list for every row, copies of a
 row included, the CSV loader and category encoders that read, impute
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from flowguard import classifiers as clf
-from flowguard.classifiers.tree import LEAF, TreeNodes, _TreeBuilder
+from flowguard.classifiers.tree import LEAF, TreeNodes
 from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
                                LoadError, stratified_split)
 from flowguard.distance import sq_dists
@@ -260,14 +262,13 @@ def gini_tree_brute(X, y, max_depth, min_samples_split, n_candidate_features,
     impurity decrease weighted by node fraction.
     """
     n, d = X.shape
-    builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(np.arange(n), 0, root)]
+    nodes = [[LEAF, 0.0, LEAF, LEAF, 0.0]]  # feature, threshold, left, right, value
+    stack = [(np.arange(n), 0, 0)]
     while stack:
         idx, depth, slot = stack.pop()
         n_node = len(idx)
         pos = int(y[idx].sum())
-        builder.value[slot] = pos / n_node
+        nodes[slot][4] = pos / n_node
         if pos in (0, n_node) or n_node < min_samples_split or \
                 (max_depth is not None and depth >= max_depth):
             continue
@@ -284,15 +285,12 @@ def gini_tree_brute(X, y, max_depth, min_samples_split, n_candidate_features,
         if importance is not None:
             importance[f] += dec * (n_node / n)
         go_left = X[idx, f] < thr
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.feature[slot] = f
-        builder.threshold[slot] = thr
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        stack.append((idx[~go_left], depth + 1, right_slot))
-        stack.append((idx[go_left], depth + 1, left_slot))
-    return builder.finish()
+        left = len(nodes)
+        nodes[slot][:4] = f, thr, left, left + 1
+        nodes += [[LEAF, 0.0, LEAF, LEAF, 0.0], [LEAF, 0.0, LEAF, LEAF, 0.0]]
+        stack.append((idx[~go_left], depth + 1, left + 1))
+        stack.append((idx[go_left], depth + 1, left))
+    return TreeNodes(*zip(*nodes))
 
 
 def _newton_best_split(X, g, h, idx, reg_lambda):
@@ -337,14 +335,13 @@ def newton_tree_brute(X, g, h, max_depth, reg_lambda) -> TreeNodes:
     no sampling), keeping boosting fully reproducible without a seed.
     """
     n = X.shape[0]
-    builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(np.arange(n), 0, root)]
+    nodes = [[LEAF, 0.0, LEAF, LEAF, 0.0]]  # feature, threshold, left, right, value
+    stack = [(np.arange(n), 0, 0)]
     while stack:
         idx, depth, slot = stack.pop()
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        builder.value[slot] = -G / (H + reg_lambda)
+        nodes[slot][4] = -G / (H + reg_lambda)
         if depth >= max_depth or len(idx) < 2:
             continue
         split = _newton_best_split(X, g, h, idx, reg_lambda)
@@ -352,15 +349,12 @@ def newton_tree_brute(X, g, h, max_depth, reg_lambda) -> TreeNodes:
             continue
         f, thr = split
         go_left = X[idx, f] < thr
-        left_slot = builder.add()
-        right_slot = builder.add()
-        builder.feature[slot] = f
-        builder.threshold[slot] = thr
-        builder.left[slot] = left_slot
-        builder.right[slot] = right_slot
-        stack.append((idx[~go_left], depth + 1, right_slot))
-        stack.append((idx[go_left], depth + 1, left_slot))
-    return builder.finish()
+        left = len(nodes)
+        nodes[slot][:4] = f, thr, left, left + 1
+        nodes += [[LEAF, 0.0, LEAF, LEAF, 0.0], [LEAF, 0.0, LEAF, LEAF, 0.0]]
+        stack.append((idx[~go_left], depth + 1, left + 1))
+        stack.append((idx[go_left], depth + 1, left))
+    return TreeNodes(*zip(*nodes))
 
 
 def kfold_cv_brute(spec, fold_datasets) -> CvResult:

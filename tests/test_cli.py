@@ -280,6 +280,17 @@ def test_evaluate_requires_pipeline_bundle(corpus, tmp_path, capsys):
     assert "error[model]" in capsys.readouterr().err
 
 
+# Stand-ins that dumps_with_literals writes as number literals json cannot
+# hold in a float: 1e999, which json reads as inf, and a 401-digit integer,
+# which float() refuses. json.dumps would write float("inf") as Infinity.
+HUGE, OVERFLOW = 1.25e300, 1.5e300
+
+
+def dumps_with_literals(doc):
+    return (json.dumps(doc).replace(repr(HUGE), "1e999")
+            .replace(repr(OVERFLOW), "1" + "0" * 400))
+
+
 @pytest.mark.parametrize("edit", [
     lambda p: p.pop("scaler"),
     lambda p: p["scaler"].pop("scale"),
@@ -291,14 +302,17 @@ def test_evaluate_requires_pipeline_bundle(corpus, tmp_path, capsys):
     lambda p: p.update(selected=[True]),
     lambda p: p.update(category_maps={"f03": "tcp"}),
     lambda p: p.update(category_maps=["f03"]),
+    lambda p: p["scaler"]["mean"].__setitem__(0, HUGE),
+    lambda p: p["scaler"]["scale"].__setitem__(0, OVERFLOW),
 ], ids=["no_scaler", "no_scale", "short_mean", "mask_text", "short_names", "names_text",
-        "selected_range", "selected_bool", "map_text", "maps_list"])
+        "selected_range", "selected_bool", "map_text", "maps_list", "mean_1e999",
+        "scale_401_digits"])
 def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, capsys,
                                              edit):
     doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
     edit(doc["pipeline"])
     bundle = tmp_path / "bad.json"
-    bundle.write_text(json.dumps(doc))
+    bundle.write_text(dumps_with_literals(doc))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(bundle), "--data", str(corpus)]) == 1
     err = capsys.readouterr().err
@@ -310,18 +324,27 @@ def with_nan_scaler_mean(doc):
     return doc
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: [1, 2],
-    lambda doc: {**doc, "hyperparameters": [1]},
-    lambda doc: {**doc, "state": [1]},
-    lambda doc: {k: v for k, v in doc.items() if k != "feature_arity"},
-    with_nan_scaler_mean,  # json.dumps writes NaN, which json would read back
-], ids=["list", "hyperparameters_list", "state_list", "no_arity", "scaler_mean_nan"])
+def with_hyperparameter(key, value):
+    return lambda doc: {**doc,
+                        "hyperparameters": {**doc["hyperparameters"], key: value}}
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("knn", lambda doc: [1, 2]),
+    ("knn", lambda doc: {**doc, "hyperparameters": [1]}),
+    ("knn", lambda doc: {**doc, "state": [1]}),
+    ("knn", lambda doc: {k: v for k, v in doc.items() if k != "feature_arity"}),
+    ("knn", with_nan_scaler_mean),  # json.dumps writes NaN, which json would read back
+    ("svc", with_hyperparameter("reg_lambda", HUGE)),
+    ("xgb", with_hyperparameter("learning_rate", HUGE)),
+    ("xgb", with_hyperparameter("learning_rate", OVERFLOW)),
+], ids=["list", "hyperparameters_list", "state_list", "no_arity", "scaler_mean_nan",
+        "svc_lambda_1e999", "xgb_rate_1e999", "xgb_rate_401_digits"])
 def test_evaluate_refuses_malformed_model_file(corpus, finished_run, tmp_path, capsys,
-                                              edit):
-    doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
+                                              name, edit):
+    doc = json.loads((finished_run / f"model_{name}_balanced.json").read_text())
     bundle = tmp_path / "bad.json"
-    bundle.write_text(json.dumps(edit(doc)))
+    bundle.write_text(dumps_with_literals(edit(doc)))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(bundle), "--data", str(corpus)]) == 1
     err = capsys.readouterr().err
@@ -357,17 +380,31 @@ def point_child_at(tree, child):
     ("xgb", lambda s: s["trees"][0]["value"].__setitem__(
         s["trees"][0]["feature"].index(-1), float("nan"))),
     ("knn", lambda s: s["train_X"][0].__setitem__(0, float("nan"))),
+    ("svc", lambda s: s["w"].__setitem__(0, HUGE)),
+    ("svc", lambda s: s.update(platt_a=HUGE)),
+    ("mlp", lambda s: s["biases"][-1].__setitem__(0, HUGE)),
+    ("mlp", lambda s: s["loss_curve"].__setitem__(1, HUGE)),
+    ("rf", lambda s: s["feature_importance"].__setitem__(0, HUGE)),
+    ("xgb", lambda s: s["trees"][0]["value"].__setitem__(
+        s["trees"][0]["feature"].index(-1), HUGE)),
+    ("knn", lambda s: s["train_X"][0].__setitem__(0, HUGE)),
+    ("svc", lambda s: s["w"].__setitem__(0, OVERFLOW)),
+    ("rf", lambda s: s["trees"][0]["threshold"].__setitem__(0, OVERFLOW)),
+    ("knn", lambda s: s["train_y"].__setitem__(0, OVERFLOW)),
 ], ids=["knn_labels", "knn_columns", "knn_label_not_binary", "rf_tree_arrays",
         "rf_feature", "rf_tree_count", "rf_importance", "xgb_tree_arrays",
         "xgb_child_past_end", "xgb_empty_tree", "mlp_weight_rows", "mlp_bias",
         "mlp_layers", "svc_weights", "mlp_bias_infinite", "svc_platt_nan",
-        "xgb_leaf_nan", "knn_train_nan"])
+        "xgb_leaf_nan", "knn_train_nan", "svc_weight_1e999", "svc_platt_1e999",
+        "mlp_bias_1e999", "mlp_loss_1e999", "rf_importance_1e999", "xgb_leaf_1e999",
+        "knn_train_1e999", "svc_weight_401_digits", "rf_threshold_401_digits",
+        "knn_label_401_digits"])
 def test_evaluate_refuses_inconsistent_model_state(corpus, finished_run, tmp_path,
                                                    capsys, name, edit):
     doc = json.loads((finished_run / f"model_{name}_balanced.json").read_text())
     edit(doc["state"])
     bundle = tmp_path / "bad.json"
-    bundle.write_text(json.dumps(doc))
+    bundle.write_text(dumps_with_literals(doc))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(bundle), "--data", str(corpus)]) == 1
     err = capsys.readouterr().err
@@ -551,7 +588,9 @@ def test_config_rejects_values_a_conversion_would_change(corpus, tmp_path, capsy
     b'{"seed": 1, "x": "\xff"}',           # not UTF-8
     b'{"smote_target_ratio": Infinity}',   # json would read inf
     b'{"smote_target_ratio": 1e999}',      # json reads inf
-], ids=["not_utf8", "infinity", "overflow"])
+    b'{"lof_threshold": 1e999}',
+    b'{"split_ratio": 1' + b'0' * 400 + b'}',  # too large for a float
+], ids=["not_utf8", "infinity", "overflow", "lof_overflow", "float_overflow"])
 def test_config_file_must_be_utf8_json_with_finite_numbers(corpus, tmp_path, capsys,
                                                           text):
     cfg_path = tmp_path / "cfg.json"

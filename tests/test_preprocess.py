@@ -237,6 +237,8 @@ def test_lof_config_validation():
         LofConfig(k_neighbors=0, threshold=1.5)
     with pytest.raises(ValueError):
         LofConfig(k_neighbors=5, threshold=1.0)
+    with pytest.raises(ValueError, match="threshold"):
+        LofConfig(threshold=math.inf)  # what json reads from 1e999
 
 
 def test_smote_config_refuses_an_infinite_ratio():

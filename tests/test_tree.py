@@ -4,8 +4,9 @@ The oracles (``tests/oracles.py``) sort every candidate feature at every
 node, one feature at a time. The library sorts each column once per tree
 (once per boosting fit) and scores all candidate features in one block.
 Every ``TreeNodes`` array, and the forest's impurity importances, must
-agree byte for byte. Routing rows node by node must give the leaf values
-of the level-wise oracle router byte for byte.
+agree byte for byte; the oracles keep node lists of their own, so this
+also pins the library's node order. Routing rows node by node must give
+the leaf values of the level-wise oracle router byte for byte.
 """
 
 import numpy as np
@@ -18,9 +19,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from flowguard import classifiers as clf  # noqa: E402
 from flowguard.classifiers.tree import (LEAF, TreeNodes,  # noqa: E402
-                                        _TreeBuilder, build_gini_tree,
-                                        build_newton_tree, presort,
-                                        presort_sample, tree_apply,
+                                        build_gini_tree, build_newton_tree,
+                                        presort, presort_sample, tree_apply,
                                         trees_from_state, value_ranks)
 from flowguard.dataset import Dataset  # noqa: E402
 from oracles import (gini_tree_brute, newton_tree_brute,  # noqa: E402
@@ -186,20 +186,21 @@ def routing_cases(draw):
     d = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cuts = np.round(rng.standard_normal(draw(st.integers(1, 4))), 1)
-    builder = _TreeBuilder()
-    pending = [(builder.add(), 0)]
+    nodes = [[LEAF, 0.0, LEAF, LEAF, 0.0]]  # feature, threshold, left, right, value
+    pending = [(0, 0)]
     while pending:
         slot, depth = pending.pop(draw(st.integers(0, len(pending) - 1)))
-        builder.value[slot] = float(rng.standard_normal())
+        nodes[slot][4] = float(rng.standard_normal())
         if depth < 6 and draw(st.booleans()):
-            builder.feature[slot] = draw(st.integers(0, d - 1))
-            builder.threshold[slot] = float(rng.choice(cuts))
-            builder.left[slot], builder.right[slot] = builder.add(), builder.add()
-            pending += [(builder.left[slot], depth + 1), (builder.right[slot], depth + 1)]
+            left = len(nodes)
+            nodes[slot][:4] = (draw(st.integers(0, d - 1)), float(rng.choice(cuts)),
+                               left, left + 1)
+            nodes += [[LEAF, 0.0, LEAF, LEAF, 0.0], [LEAF, 0.0, LEAF, LEAF, 0.0]]
+            pending += [(left, depth + 1), (left + 1, depth + 1)]
     values = np.concatenate([cuts, np.nextafter(cuts, -np.inf),
                              np.nextafter(cuts, np.inf), [np.nan, -np.inf, 9.0]])
     X = rng.choice(values, size=(draw(st.integers(0, 50)), d))
-    return builder.finish(), X
+    return TreeNodes(*zip(*nodes)), X
 
 
 def assert_routes_like_levelwise(tree, X):

@@ -42,8 +42,9 @@ top = np.argsort(forest.feature_importance)[::-1][:3]
 print(f"top forest features: {[tr.feature_names[i] for i in top]}")
 
 # models serialize to a versioned JSON file and predict identically after reload
-path = Path(tempfile.mkdtemp(prefix="flowguard_demo_")) / "model.json"
-save_model(forest, path)
-reloaded, _ = load_model(path)
+with tempfile.TemporaryDirectory(prefix="flowguard_demo_") as workdir:
+    path = Path(workdir) / "model.json"
+    save_model(forest, path)
+    reloaded, _ = load_model(path)
 same = np.array_equal(reloaded.predict_proba(te.X), forest.predict_proba(te.X))
 print(f"round-trip predictions identical: {same}")

@@ -45,7 +45,7 @@ for track in report.tracks:
               f"kappa {m.test.kappa:.4f}  brier {m.test.brier:.4f}  "
               f"best {m.hyperparameters}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="flowguard_demo_"))
-written = write_report_files(report, out_dir)
-print(f"wrote {len(written)} artifact files to {out_dir}")
+with tempfile.TemporaryDirectory(prefix="flowguard_demo_") as out_dir:
+    written = write_report_files(report, Path(out_dir))
+    print(f"wrote {len(written)} artifact files to {out_dir}")
 print("rerunning with the same config reproduces report.json byte for byte")

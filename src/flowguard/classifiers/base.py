@@ -167,13 +167,15 @@ def _jsonable(value):
 
 
 def all_finite(value) -> bool:
-    """Whether every number in a learned attribute is finite; JSON reads a
-    literal too large for a float, such as 1e999, as inf."""
-    if isinstance(value, TreeNodes):
-        return all_finite(value.threshold) and all_finite(value.value)
-    if isinstance(value, list):
-        return all(all_finite(v) for v in value)
-    return bool(np.all(np.isfinite(value)))
+    """Whether every number in a learned attribute is finite: a number, an
+    array, or a list of numbers, of arrays or of trees (their thresholds and
+    values), checked in one pass. JSON reads a literal too large for a
+    float, such as 1e999, as inf."""
+    if isinstance(value, list) and value and isinstance(value[0], TreeNodes):
+        value = [a for tree in value for a in (tree.threshold, tree.value)]
+    if isinstance(value, list) and value and isinstance(value[0], np.ndarray):
+        value = np.concatenate([a.ravel() for a in value])
+    return bool(np.isfinite(value).all())
 
 
 def thresholded(probs) -> PredictionSet:

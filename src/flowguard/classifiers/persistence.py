@@ -30,8 +30,7 @@ def save_model(model, path, pipeline: dict | None = None) -> None:
     if pipeline is not None:
         doc["pipeline"] = pipeline
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")  # json.dumps encodes in C, json.dump in Python
 
 
 def _refuse_constant(token):

@@ -20,6 +20,7 @@ every candidate feature of a node in a single (features x rows) block.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -35,12 +36,15 @@ class TreeNodes:
     value: np.ndarray      # float64 leaf payload
 
     def __post_init__(self):
-        for f in fields(self):
-            dtype = np.float64 if f.name in ("threshold", "value") else np.int64
-            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+        for name, dtype in _FIELD_DTYPES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     def to_state(self) -> dict:
-        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        return {name: getattr(self, name).tolist() for name, _ in _FIELD_DTYPES}
+
+
+_FIELD_DTYPES = tuple((f.name, np.float64 if f.name in ("threshold", "value")
+                       else np.int64) for f in fields(TreeNodes))
 
 
 def trees_from_state(states, count, arity) -> list:
@@ -48,20 +52,26 @@ def trees_from_state(states, count, arity) -> list:
     ``arity`` features.
 
     ValueError unless each is a tree ``_grow`` could have made: five
-    arrays of one length, each feature LEAF or a column index, and each
-    internal node's children after it in its arrays. The checks run once
-    over the nodes of all trees together.
+    lists of numbers of one length, each feature LEAF or a column index,
+    and each internal node's children after it in its arrays. Each field of
+    all trees is converted in one pass, and the checks run once over the
+    nodes of all trees together.
     """
     if len(states) != count:
         raise ValueError(f"state holds {len(states)} trees, not {count}")
-    trees = [TreeNodes(*(s[f.name] for f in fields(TreeNodes))) for s in states]
-    sizes = [t.feature.size for t in trees]
-    for t, n in zip(trees, sizes):
-        if not (n > 0 and (n,) == t.feature.shape == t.threshold.shape
-                == t.left.shape == t.right.shape == t.value.shape):
-            raise ValueError("tree arrays must be non-empty and of one length")
-    feature, left, right = (np.concatenate([getattr(t, name) for t in trees])
-                            for name in ("feature", "left", "right"))
+    names = [name for name, _ in _FIELD_DTYPES]
+    sizes = [len(s["feature"]) if type(s["feature"]) is list else 0 for s in states]
+    for s, n in zip(states, sizes):
+        if not (n > 0 and all(type(s[name]) is list and len(s[name]) == n
+                              for name in names)):
+            raise ValueError("tree arrays must be non-empty lists of one length")
+    columns = {}
+    for name, dtype in _FIELD_DTYPES:
+        columns[name] = np.array(list(chain.from_iterable(s[name] for s in states)),
+                                 dtype=dtype)
+        if columns[name].shape != (sum(sizes),):
+            raise ValueError(f"tree {name} entries must be numbers")
+    feature, left, right = columns["feature"], columns["left"], columns["right"]
     # each node's index within its tree, and its tree's node count
     node = np.arange(feature.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     n = np.repeat(sizes, sizes)
@@ -70,7 +80,9 @@ def trees_from_state(states, count, arity) -> list:
         raise ValueError(f"tree splits on a feature outside [0, {arity})")
     if not np.all(leaf | (np.minimum(left, right) > node) & (np.maximum(left, right) < n)):
         raise ValueError("tree node has a child that does not come after it")
-    return trees
+    ends = np.cumsum(sizes).tolist()
+    return [TreeNodes(*(columns[name][start:end] for name in names))
+            for start, end in zip([0] + ends, ends)]
 
 
 def value_ranks(X) -> np.ndarray:

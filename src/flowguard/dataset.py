@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -36,8 +36,9 @@ class Dataset:
     ``X`` is float64 once fully numeric; while raw categorical tokens are
     still present it is an object array mixing floats, strings, and gaps
     (``nan`` for numeric cells, ``None`` for categorical ones).
-    ``scans`` types each column once per dataset: a capture is imputed and
-    then encoded, once per model that scores it, from one scan.
+    ``scans`` types each column once per dataset, and ``tokens`` reads a
+    coded column's tokens once: a capture is imputed and then encoded, once
+    per model that scores it, from one scan and one token list per column.
     """
 
     feature_names: tuple
@@ -84,6 +85,17 @@ class Dataset:
         read-only and the dataclass frozen, so it cannot go stale; a
         ``replace`` or ``take`` is a new dataset and scans its own ``X``."""
         return tuple(_scan(self.X[:, j]) for j in range(self.n_features))
+
+    @cached_property
+    def _token_lists(self) -> dict:
+        return {}
+
+    def tokens(self, j) -> tuple:
+        """``_tokens`` of column ``j``, computed on first use and kept, as
+        ``scans`` is."""
+        if j not in self._token_lists:
+            self._token_lists[j] = _tokens(self.X[:, j])
+        return self._token_lists[j]
 
     def replace(self, **changes) -> "Dataset":
         return dataclasses.replace(self, **changes)
@@ -239,6 +251,18 @@ def _scan(column):
     return True, gaps, None
 
 
+def _tokens(column):
+    """(distinct tokens, positions) of one column of ``Dataset.X``: the
+    ``str`` of its cells, each once, in order of first appearance, and each
+    cell's position among them as an int64 array."""
+    cells = column.tolist()
+    first = {}  # token -> row of its first appearance
+    rows = np.fromiter(map(first.setdefault, map(str, cells), count()), np.int64,
+                       len(cells))
+    starts = np.fromiter(first.values(), np.int64, len(first))
+    return tuple(first), np.searchsorted(starts, rows)
+
+
 def impute_missing(ds: Dataset) -> Dataset:
     """Fill gaps: numeric columns by their median, categorical by their mode.
 
@@ -274,7 +298,7 @@ def encode_categoricals(ds: Dataset) -> Dataset:
     reuse on later data (see apply_category_maps). All-numeric input keeps
     its values. Requires missing values to be imputed first.
     """
-    learned = {name: tuple(dict.fromkeys(map(str, ds.X[:, j].tolist())))
+    learned = {name: ds.tokens(j)[0]
                for j, name in enumerate(ds.feature_names) if ds.scans[j][0]}
     return ds.replace(X=_encode(ds, learned),
                       category_maps={**ds.category_maps, **learned})
@@ -301,8 +325,9 @@ def _encode(ds: Dataset, maps) -> np.ndarray:
     """Float matrix of ``ds`` from ``ds.scans`` (see ``_scan``).
 
     A column named in ``maps`` holds each token's position in its map, or
-    the map's length for an unseen token; any other holds its scanned values.
-    A gap anywhere raises ValueError.
+    the map's length for an unseen token, looked up once per distinct token
+    (``Dataset.tokens``); any other holds its scanned values. A gap anywhere
+    raises ValueError.
     """
     if any(gaps.any() for _, gaps, _ in ds.scans):
         raise ValueError("impute missing values before encoding")
@@ -310,9 +335,10 @@ def _encode(ds: Dataset, maps) -> np.ndarray:
     for j, (name, (_, _, values)) in enumerate(zip(ds.feature_names, ds.scans)):
         if name in maps:
             known = dict(zip(maps[name], range(len(maps[name]))))
-            tokens = map(str, ds.X[:, j].tolist())
-            X[:, j] = np.fromiter(map(known.get, tokens, repeat(len(known))),
-                                  np.float64, ds.n_rows)
+            tokens, positions = ds.tokens(j)
+            codes = np.fromiter(map(known.get, tokens, repeat(len(known))),
+                                np.float64, len(tokens))
+            X[:, j] = codes[positions]
         else:
             X[:, j] = values
     return X

@@ -197,8 +197,10 @@ class PipelineState:
     def prepare(self, ds: Dataset) -> Dataset:
         """A raw capture encoded as the training data was: its columns picked
         by the training names, gaps imputed from the capture itself, tokens
-        coded by the training category maps. ValueError if it cannot be."""
-        if self.feature_names is not None:
+        coded by the training category maps. ValueError if it cannot be.
+        A capture whose columns are already in training order is not copied,
+        so the bundles that score it share its scans and tokens."""
+        if self.feature_names not in (None, ds.feature_names):
             missing = [n for n in self.feature_names if n not in ds.feature_names]
             extra = [n for n in ds.feature_names if n not in self.feature_names]
             if missing or extra:

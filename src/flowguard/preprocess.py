@@ -39,6 +39,8 @@ class Scaler:
                              "arrays of one length")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.scale).all()):
             raise ValueError("scaler mean and scale must be finite")
+        if not (self.scale > 0).all():
+            raise ValueError("scaler scale must be positive")
 
     @property
     def n_features(self):
@@ -89,6 +91,8 @@ def fit_scaler(train: Dataset) -> Scaler:
     Columns whose values are all identical get scale 1 and are flagged in
     constant_mask for the report. Standardization maps them to x - mean,
     not always exactly zero: seven 0.1 values have mean 0.10000000000000002.
+    A column whose standard deviation underflows to 0 without being
+    constant, such as [0, 5e-324], also gets scale 1, unflagged.
     """
     _require_numeric(train, "fit_scaler")
     if train.n_rows == 0:
@@ -99,7 +103,7 @@ def fit_scaler(train: Dataset) -> Scaler:
     # std on genuinely constant columns.
     constant = np.all(X == X[0], axis=0)
     scale = np.sqrt(X.var(axis=0))
-    scale = np.where(constant, 1.0, scale)
+    scale = np.where(constant | (scale == 0.0), 1.0, scale)
     return Scaler(mean=mean, scale=scale, constant_mask=constant)
 
 

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import flowguard
+from flowguard import dataset
+from flowguard.classifiers import load_model
 from flowguard.cli import main
+from flowguard.dataset import load_csv
+from flowguard.experiment import PipelineState
+from oracles import apply_category_maps_cellwise
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +270,22 @@ def test_evaluate_keeps_numeric_looking_categories_as_text(corpus, tmp_path, mon
                                                                for row in kept]
 
 
+def test_bundles_scoring_one_capture_read_its_tokens_once(corpus, finished_run,
+                                                          monkeypatch):
+    states = [PipelineState.from_dict(load_model(finished_run / f"model_{n}.json")[1])
+              for n in ("rf_balanced", "knn_imbalanced", "xgb_balanced")]
+    maps = states[0].category_maps
+    assert maps and all(s.category_maps == maps for s in states)
+    capture = load_csv(corpus, text_columns=tuple(maps))
+    calls, tokens = [], dataset._tokens
+    monkeypatch.setattr(dataset, "_tokens",
+                        lambda column: calls.append(1) or tokens(column))
+    want = apply_category_maps_cellwise(capture, maps).X
+    for state in states:
+        assert state.prepare(capture).X.tobytes() == want.tobytes()
+    assert len(calls) == len(maps)
+
+
 def test_evaluate_requires_pipeline_bundle(corpus, tmp_path, capsys):
     import numpy as np
     from flowguard.classifiers import make_spec, save_model, train
@@ -304,9 +325,11 @@ def dumps_with_literals(doc):
     lambda p: p.update(category_maps=["f03"]),
     lambda p: p["scaler"]["mean"].__setitem__(0, HUGE),
     lambda p: p["scaler"]["scale"].__setitem__(0, OVERFLOW),
+    lambda p: p["scaler"]["scale"].__setitem__(0, 0),
+    lambda p: p["scaler"]["scale"].__setitem__(0, -1),
 ], ids=["no_scaler", "no_scale", "short_mean", "mask_text", "short_names", "names_text",
         "selected_range", "selected_bool", "map_text", "maps_list", "mean_1e999",
-        "scale_401_digits"])
+        "scale_401_digits", "scale_zero", "scale_negative"])
 def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, capsys,
                                              edit):
     doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
@@ -370,6 +393,9 @@ def point_child_at(tree, child):
     ("xgb", lambda s: s["trees"][0].update(value=s["trees"][0]["value"][:-1])),
     ("xgb", lambda s: point_child_at(s["trees"][2], lambda node, n: n)),
     ("xgb", lambda s: s["trees"].__setitem__(3, {k: [] for k in s["trees"][3]})),
+    ("rf", lambda s: s["trees"][2].update(threshold=s["trees"][2]["threshold"][:-1])),
+    ("rf", lambda s: s["trees"][0].update(value=1.0)),
+    ("xgb", lambda s: s["trees"][1].update(feature="0")),
     ("mlp", lambda s: s["weights"][0].pop()),
     ("mlp", lambda s: s["biases"][-1].append(0.0)),
     ("mlp", lambda s: s.update(weights=s["weights"][:-1], biases=s["biases"][:-1])),
@@ -393,7 +419,8 @@ def point_child_at(tree, child):
     ("knn", lambda s: s["train_y"].__setitem__(0, OVERFLOW)),
 ], ids=["knn_labels", "knn_columns", "knn_label_not_binary", "rf_tree_arrays",
         "rf_feature", "rf_tree_count", "rf_importance", "xgb_tree_arrays",
-        "xgb_child_past_end", "xgb_empty_tree", "mlp_weight_rows", "mlp_bias",
+        "xgb_child_past_end", "xgb_empty_tree", "rf_short_threshold",
+        "rf_value_not_list", "xgb_feature_text", "mlp_weight_rows", "mlp_bias",
         "mlp_layers", "svc_weights", "mlp_bias_infinite", "svc_platt_nan",
         "xgb_leaf_nan", "knn_train_nan", "svc_weight_1e999", "svc_platt_1e999",
         "mlp_bias_1e999", "mlp_loss_1e999", "rf_importance_1e999", "xgb_leaf_1e999",

@@ -178,10 +178,11 @@ def test_apply_category_maps_requires_imputation_first(X):
         apply_category_maps(ds, {"p": ("tcp", "udp")})
 
 
-def counted_scans(monkeypatch):
-    """A list that gets one entry per ``_scan`` call from here on."""
-    calls, scan = [], dataset._scan
-    monkeypatch.setattr(dataset, "_scan", lambda column: calls.append(1) or scan(column))
+def counted_scans(monkeypatch, name="_scan"):
+    """A list that gets one entry per call of ``dataset.<name>`` (a function
+    of one column) from here on."""
+    calls, scan = [], getattr(dataset, name)
+    monkeypatch.setattr(dataset, name, lambda column: calls.append(1) or scan(column))
     return calls
 
 
@@ -207,6 +208,26 @@ def test_a_capture_is_scanned_once_for_every_encoding(monkeypatch):
     assert_same_dataset(imputed, impute_missing_cellwise(ds))
     for got, m in zip(encoded, maps):
         assert_same_dataset(got, apply_category_maps_cellwise(ds, m))
+
+
+def test_one_capture_codes_through_many_maps_as_cellwise(monkeypatch):
+    # Each map codes the cached tokens afresh: another token order, unseen
+    # tokens and a numeric column named in a map must not carry a code over.
+    ds = gap_free_capture()
+    calls = counted_scans(monkeypatch, "_tokens")
+    maps = ({"proto": ("udp", "tcp"), "flag": ("b",)},
+            {"proto": ("icmp", "tcp", "udp"), "flag": ("a", "b")},
+            {"proto": ("ftp",), "flag": ("b", "a"), "pkts": ("3.0", "1.0", "0.0")},
+            {"proto": ("tcp", "icmp"), "flag": ("a",), "pkts": ("4.0",)})
+    for m in maps + maps[::-1]:
+        assert_same_dataset(apply_category_maps(ds, m),
+                            apply_category_maps_cellwise(ds, m))
+    assert_same_dataset(encode_categoricals(ds), encode_categoricals_cellwise(ds))
+    assert len(calls) == 3  # proto, flag, pkts: once each
+    cells = list(map(str, ds.X[:, 3].tolist()))
+    tokens, positions = ds.tokens(3)
+    assert list(tokens) == list(dict.fromkeys(cells))  # first-appearance order
+    assert [tokens[i] for i in positions] == cells
 
 
 def test_a_new_dataset_scans_its_own_columns(monkeypatch):

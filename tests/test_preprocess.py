@@ -58,6 +58,18 @@ def test_scaler_constant_column():
     assert np.all(out.X[:, 0] == 0.0)
 
 
+def test_scaler_gives_an_underflowing_column_scale_one():
+    # a non-constant column whose population variance rounds to 0
+    ds = make_ds([[0.0, 1.0], [5e-324, 3.0]], [0, 1])
+    sc = fit_scaler(ds)
+    assert sc.scale.tolist() == [1.0, 1.0]
+    assert sc.constant_mask.tolist() == [False, False]
+    assert np.isfinite(apply_scaler(sc, ds).X).all()
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            Scaler(mean=[0.0], scale=[bad], constant_mask=[False])
+
+
 def test_scaler_serialization_round_trip():
     ds = make_ds([[1.0, 7.0], [2.0, 7.0], [4.0, 7.0]], [0, 1, 1])
     sc = fit_scaler(ds)

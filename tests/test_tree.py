@@ -271,8 +271,16 @@ def test_trees_from_state_accepts_only_trees_the_builder_makes():
             trees_from_state([state], 1, 2)
             raise AssertionError(name)
     for state in ({**good, "value": good["value"][:-1]},
-                  {k: [] for k in good}, {**good, "left": [good["left"]]}):
+                  {**good, "threshold": good["threshold"][:-1]},
+                  {k: [] for k in good}, {**good, "left": [good["left"]]},
+                  {**good, "left": [[i] for i in good["left"]]},
+                  {**good, "right": [2, [4], LEAF, LEAF, LEAF]},
+                  {**good, "value": 1.0}, {**good, "feature": "10"},
+                  {**good, "threshold": dict.fromkeys(range(5), 0.0)}):
         with pytest.raises(ValueError):
             trees_from_state([state], 1, 2)
+        # the same tree after a good one: all trees are converted together
+        with pytest.raises(ValueError):
+            trees_from_state([good, state], 2, 2)
     with pytest.raises(ValueError, match="2 trees, not 1"):
         trees_from_state([good, good], 1, 2)

@@ -16,10 +16,10 @@ from pathlib import Path
 
 from . import classifiers as clf
 from .dataset import (DEFAULT_LABEL_COLUMN, encode_categoricals, impute_missing,
-                      label_distribution, load_csv)
+                      label_distribution, load_csv, write_rows)
 from .experiment import (ExperimentConfig, PipelineState, report_to_dict,
                          run_full_experiment, write_report_files)
-from .metrics import evaluate_capture
+from .metrics import evaluate_predictions
 from .preprocess import LofConfig, SmoteConfig
 from .synth import SynthConfig, generate, write_csv
 
@@ -225,7 +225,7 @@ def _cmd_evaluate(args):
     with _stage("evaluate"):
         ds = state.transform(ds)
         pred = clf.predict(model, ds)
-        report = evaluate_capture(ds.y, pred.labels, pred.probabilities)
+        report, _ = evaluate_predictions(ds.y, pred.labels, pred.probabilities)
     print(f"model: {args.model} (kind {model.kind})")
     print(f"rows: {ds.n_rows}")
     for key, value in report.to_dict().items():
@@ -237,11 +237,10 @@ def _cmd_evaluate(args):
     cm = report.confusion
     print(f"confusion: tp={cm.tp} tn={cm.tn} fp={cm.fp} fn={cm.fn}")
     if args.out:
-        lines = ["row,label,probability"]
-        for i in range(ds.n_rows):
-            lines.append(f"{i},{int(pred.labels[i])},{float(pred.probabilities[i])!r}")
         with _stage("write"):
-            Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_rows(args.out, [("row", "label", "probability"),
+                                  *zip(range(ds.n_rows), pred.labels.tolist(),
+                                       pred.probabilities.tolist())])
         print(f"predictions written to {args.out}")
     return 0
 

@@ -406,10 +406,14 @@ def dataset_to_csv(ds: Dataset, path, label_column: str = DEFAULT_LABEL_COLUMN) 
     """
     columns = [_column_text(ds.X[:, j], scan) for j, scan in enumerate(ds.scans)]
     columns.append(list(map(str, ds.y.tolist())))
+    write_rows(path, [ds.feature_names + (label_column,), *zip(*columns)])
+
+
+def write_rows(path, rows) -> None:
+    """Write ``rows`` of cells as UTF-8 CSV with the ``csv`` module's quoting
+    and CRLF line ends; a Python float is written by ``repr`` (exact)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [label_column])
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerows(rows)
 
 
 def _column_text(column, scan) -> list:

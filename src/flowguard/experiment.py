@@ -54,7 +54,7 @@ import numpy as np
 from . import classifiers as clf
 from .dataset import (Dataset, SplitPair, apply_category_maps, content_hash,
                       impute_missing, label_distribution,
-                      stratified_fold_indices, stratified_split)
+                      stratified_fold_indices, stratified_split, write_rows)
 from .metrics import MetricsReport, RocCurve, evaluate_predictions
 from .preprocess import (LofConfig, Scaler, SmoteConfig, apply_scaler,
                          fit_scaler, remove_outliers, scaler_from_dict,
@@ -129,12 +129,6 @@ class GridPoint:
 
 
 @dataclass(frozen=True)
-class CvResult:
-    mean_accuracy: float
-    folds: tuple
-
-
-@dataclass(frozen=True)
 class GridSearchOutcome:
     best_spec: clf.ModelSpec
     mean_cv_accuracy: float
@@ -197,9 +191,11 @@ class PipelineState:
     def prepare(self, ds: Dataset) -> Dataset:
         """A raw capture encoded as the training data was: its columns picked
         by the training names, gaps imputed from the capture itself, tokens
-        coded by the training category maps. ValueError if it cannot be.
-        A capture whose columns are already in training order is not copied,
-        so the bundles that score it share its scans and tokens."""
+        coded by the training category maps. ValueError if it cannot be,
+        or if a coded column was read as numbers (load it with
+        ``text_columns``). A capture whose columns are already in training
+        order is not copied, so the bundles that score it share its scans and
+        tokens."""
         if self.feature_names not in (None, ds.feature_names):
             missing = [n for n in self.feature_names if n not in ds.feature_names]
             extra = [n for n in ds.feature_names if n not in self.feature_names]
@@ -208,7 +204,13 @@ class PipelineState:
                                  f"missing {missing}, extra {extra}")
             idx = [ds.feature_names.index(n) for n in self.feature_names]
             ds = _select_columns(ds, idx)
-        return apply_category_maps(impute_missing(ds), self.category_maps)
+        ds = impute_missing(ds)
+        numeric = [n for n, (categorical, _, _) in zip(ds.feature_names, ds.scans)
+                   if n in self.category_maps and not categorical]
+        if numeric:
+            raise ValueError(f"category-coded columns {numeric} were read as numbers; "
+                             f"load with text_columns={tuple(self.category_maps)}")
+        return apply_category_maps(ds, self.category_maps)
 
     def transform(self, ds: Dataset) -> Dataset:
         """Scaler (and column selection) only; rows and labels pass through."""
@@ -337,8 +339,8 @@ def _stage_accuracies(model, ds: Dataset, values) -> dict:
 
 
 def _cross_validate(specs, fold_datasets) -> list:
-    """One CvResult per spec, for specs that differ at most in the staged
-    hyperparameter of their kind.
+    """One tuple of FoldResults per spec, for specs that differ at most in
+    the staged hyperparameter of their kind.
 
     The fold-f model trains once, under seed spec.seed + f, with the largest
     staged value among the specs; every spec is scored from its staged
@@ -355,9 +357,7 @@ def _cross_validate(specs, fold_datasets) -> list:
         for results, value in zip(per_spec, values):
             results.append(FoldResult(fold=f, train_accuracy=train_acc[value],
                                       validation_accuracy=val_acc[value]))
-    return [CvResult(mean_accuracy=sum(r.validation_accuracy for r in results)
-                     / len(results), folds=tuple(results))
-            for results in per_spec]
+    return [tuple(results) for results in per_spec]
 
 
 def expand_grid(grid: dict):
@@ -399,7 +399,7 @@ def grid_search(kind: str, grid: dict, fold_datasets,
              for params in points]
 
     def cross_validate(members):
-        """CvResult, or why the point failed, per member point."""
+        """The FoldResults, or why the point failed, per member point."""
         try:
             return _cross_validate([specs[i] for i in members], fold_datasets)
         except ValueError as exc:
@@ -415,20 +415,20 @@ def grid_search(kind: str, grid: dict, fold_datasets,
             results[i] = result
     best = None
     trace = []
-    for params, spec, cv in zip(points, specs, results):
-        if isinstance(cv, str):
+    for params, spec, folds in zip(points, specs, results):
+        if isinstance(folds, str):
             trace.append(GridPoint(params=dict(params), mean_cv_accuracy=None,
-                                   error=cv))
+                                   error=folds))
             continue
-        trace.append(GridPoint(params=dict(params),
-                               mean_cv_accuracy=cv.mean_accuracy))
-        if best is None or cv.mean_accuracy > best[1].mean_accuracy:
-            best = (spec, cv)
+        mean = sum(r.validation_accuracy for r in folds) / len(folds)
+        trace.append(GridPoint(params=dict(params), mean_cv_accuracy=mean))
+        if best is None or mean > best[1]:
+            best = (spec, mean, folds)
     if best is None:
         raise ValueError(f"every grid combination failed for {kind}")
-    spec, cv = best
-    return GridSearchOutcome(best_spec=spec, mean_cv_accuracy=cv.mean_accuracy,
-                             folds=cv.folds, trace=tuple(trace))
+    spec, mean, folds = best
+    return GridSearchOutcome(best_spec=spec, mean_cv_accuracy=mean, folds=folds,
+                             trace=tuple(trace))
 
 
 def _prepare_track(track: str, split: SplitPair, cfg: ExperimentConfig):
@@ -490,42 +490,43 @@ def _run_job(i) -> ModelResult:
 
 
 def _search_all(jobs, processes) -> list:
-    """``_search_model`` of every job, in job order.
-
-    With two or more ``processes`` the jobs run side by side on a pool of
-    that many forked workers; with one, without fork, or inside a pool
-    worker they run in this process. Forked workers inherit the jobs'
-    datasets instead of receiving them pickled, and every search is seeded,
-    so the results are the same either way. An exception in a worker
+    """``_search_model`` of every job, in job order: in this process, or on a
+    pool of two or more ``processes`` forked workers, which inherit the jobs'
+    datasets instead of receiving them pickled. An exception in a worker
     reaches the caller with its type, and no worker outlives the call.
     """
-    if processes > 1:
-        # Imported here, so that runs that search in-process do not pay for
-        # it: about 1 MB of resident memory and 10 ms of set-up.
-        import multiprocessing
-        if (not multiprocessing.current_process().daemon
-                and "fork" in multiprocessing.get_all_start_methods()):
-            # Leaving the block terminates the pool and joins every worker.
-            with multiprocessing.get_context("fork").Pool(
-                    processes, initializer=_set_jobs, initargs=(jobs,)) as pool:
-                return pool.map(_run_job, range(len(jobs)), chunksize=1)
-    return [_search_model(*job) for job in jobs]
+    if processes < 2:
+        return [_search_model(*job) for job in jobs]
+    import multiprocessing
+    # Leaving the block terminates the pool and joins every worker.
+    with multiprocessing.get_context("fork").Pool(
+            processes, initializer=_set_jobs, initargs=(jobs,)) as pool:
+        return pool.map(_run_job, range(len(jobs)), chunksize=1)
 
 
 def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
     """Run every enabled model on each track.
 
-    With a pool (one worker per learner, at most one per usable CPU), every
-    track is prepared first and the (track, learner) searches run as one
-    batch, listed learner by learner: the tracks' searches of one learner
-    cost about the same, so on two CPUs they are handed out, and end,
-    together.
+    The searches run on a pool of forked workers, one per learner and at
+    most one per usable CPU; with one of either, without fork, or inside a
+    pool worker they run in this process. Every search is seeded, so the
+    results are the same either way. With a pool, every track is prepared
+    first and the (track, learner) searches run as one batch, listed learner
+    by learner: the tracks' searches of one learner cost about the same, so
+    on two CPUs they are handed out, and end, together. In this process the
+    tracks run one at a time, so that a track's folds are freed before the
+    next track's are built (pool workers must inherit every track's folds at
+    once).
     """
     processes = min(len(cfg.models), _usable_cpus())
+    if processes > 1:
+        # Imported here, so that runs that search in-process do not pay for
+        # it: about 1 MB of resident memory and 10 ms of set-up.
+        import multiprocessing
+        if (multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            processes = 1
     if processes < 2 and len(tracks) > 1:
-        # Searching in-process, run the tracks one at a time, so that a
-        # track's folds are freed before the next track's are built (pool
-        # workers must inherit every track's folds at once).
         return tuple(_run_tracks((track,), split, cfg)[0] for track in tracks)
     prepared = [_prepare_track(track, split, cfg) for track in tracks]
     jobs = [(kind, cfg.grids[kind], fold_datasets, proc_train, proc_test, cfg.seed)
@@ -656,8 +657,8 @@ def write_report_files(report: ExperimentReport, out_dir) -> list:
     """Write report.json plus per model-track plot data CSVs.
 
     Emits roc_<model>_<track>.csv (fpr,tpr), validation_curve_<model>_<track>.csv
-    (fold, train and validation accuracy), and confusion_<model>_<track>.csv.
-    Returns the written paths.
+    (fold, train and validation accuracy), and confusion_<model>_<track>.csv,
+    each by ``write_rows``. Returns the written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -667,25 +668,19 @@ def write_report_files(report: ExperimentReport, out_dir) -> list:
     report_path.write_text(report_to_json(report), encoding="utf-8")
     written.append(report_path)
 
+    fold_fields = tuple(f.name for f in dataclasses.fields(FoldResult))
     for track in report.tracks:
         for m in track.models:
-            tag = f"{m.name}_{track.track}"
-            roc_path = out / f"roc_{tag}.csv"
-            m.roc.to_csv(roc_path)
-            written.append(roc_path)
-
-            vc_path = out / f"validation_curve_{tag}.csv"
-            lines = ["fold,train_accuracy,validation_accuracy"]
-            for fr in m.folds:
-                lines.append(f"{fr.fold},{fr.train_accuracy!r},{fr.validation_accuracy!r}")
-            vc_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            written.append(vc_path)
-
             cm = m.test.confusion
-            cm_path = out / f"confusion_{tag}.csv"
-            cm_path.write_text(
-                ",predicted_benign,predicted_ddos\n"
-                f"actual_benign,{cm.tn},{cm.fp}\n"
-                f"actual_ddos,{cm.fn},{cm.tp}\n", encoding="utf-8")
-            written.append(cm_path)
+            files = {
+                "roc": [("fpr", "tpr"), *zip(m.roc.fpr.tolist(), m.roc.tpr.tolist())],
+                "validation_curve": [fold_fields, *map(dataclasses.astuple, m.folds)],
+                "confusion": [("", "predicted_benign", "predicted_ddos"),
+                              ("actual_benign", cm.tn, cm.fp),
+                              ("actual_ddos", cm.fn, cm.tp)],
+            }
+            for kind, rows in files.items():
+                path = out / f"{kind}_{m.name}_{track.track}.csv"
+                write_rows(path, rows)
+                written.append(path)
     return written

@@ -8,7 +8,6 @@ NaN, so serialized reports stay machine-readable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
 
@@ -68,14 +67,6 @@ class RocCurve:
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def to_csv(self, path) -> None:
-        """Two-column fpr,tpr CSV for plotting."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr"])
-            for x, y in zip(self.fpr, self.tpr):
-                writer.writerow([repr(float(x)), repr(float(y))])
 
 
 @dataclass(frozen=True)
@@ -208,41 +199,24 @@ def brier_score(y_true, probabilities) -> float:
         raise ValueError(f"length mismatch: {len(t)} labels vs {len(p)} probabilities")
     if len(t) == 0:
         raise ValueError("brier_score needs at least one prediction")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN included
         raise ValueError("probabilities must lie in [0, 1]")
     return float(np.mean((p - t) ** 2))
 
 
-def _metrics_report(y_true, cm, curve, probabilities) -> MetricsReport:
-    """The report of one scored partition; a None curve (one class present)
-    gives AUC 0.0, listed under ``degenerate``."""
-    core = core_metrics(cm)
-    agree = agreement_metrics(cm)
-    return MetricsReport(accuracy=core.accuracy, precision=core.precision,
-                         recall=core.recall, f1=core.f1,
-                         auc=0.0 if curve is None else curve.auc,
-                         kappa=agree.kappa, mcc=agree.mcc,
-                         brier=brier_score(y_true, probabilities), confusion=cm,
-                         degenerate=(core.degenerate
-                                     + (("auc",) if curve is None else ())
-                                     + agree.degenerate))
-
-
 def evaluate_predictions(y_true, labels, probabilities):
-    """Full MetricsReport plus RocCurve for one model on one partition."""
+    """Full MetricsReport plus RocCurve for one model on one partition. With
+    one class present the curve is None and AUC is 0.0, listed as degenerate."""
     cm = confusion_matrix(y_true, labels)
-    curve = roc_auc(y_true, probabilities)
-    return _metrics_report(y_true, cm, curve, probabilities), curve
-
-
-def evaluate_capture(y_true, labels, probabilities) -> MetricsReport:
-    """MetricsReport for a scored capture, which may hold a single class.
-
-    With both classes present this is ``evaluate_predictions``' report. With
-    one class AUC is undefined, so it comes back as 0.0 and is listed under
-    ``degenerate`` with the other undefined metrics.
-    """
-    cm = confusion_matrix(y_true, labels)
-    two_classes = cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0
-    curve = roc_auc(y_true, probabilities) if two_classes else None
-    return _metrics_report(y_true, cm, curve, probabilities)
+    core, agree = core_metrics(cm), agreement_metrics(cm)
+    both_classes = cm.tp + cm.fn > 0 and cm.tn + cm.fp > 0
+    curve = roc_auc(y_true, probabilities) if both_classes else None
+    report = MetricsReport(accuracy=core.accuracy, precision=core.precision,
+                           recall=core.recall, f1=core.f1,
+                           auc=curve.auc if both_classes else 0.0,
+                           kappa=agree.kappa, mcc=agree.mcc,
+                           brier=brier_score(y_true, probabilities), confusion=cm,
+                           degenerate=(core.degenerate
+                                       + (() if both_classes else ("auc",))
+                                       + agree.degenerate))
+    return report, curve

@@ -24,6 +24,7 @@ instead of splitting each node's own rows.
 import csv
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +34,8 @@ from flowguard.classifiers.tree import LEAF, TreeNodes
 from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
                                LoadError, stratified_split)
 from flowguard.distance import sq_dists
-from flowguard.experiment import (CvResult, FoldResult, GridPoint,
-                                  GridSearchOutcome, _accuracy, expand_grid,
-                                  fit_track_pipeline)
+from flowguard.experiment import (FoldResult, GridPoint, GridSearchOutcome,
+                                  _accuracy, expand_grid, fit_track_pipeline)
 from flowguard.preprocess import LOF_DENSITY_EPS, _require_numeric, scaler_to_dict
 
 
@@ -355,6 +355,13 @@ def newton_tree_brute(X, g, h, max_depth, reg_lambda) -> TreeNodes:
         stack.append((idx[~go_left], depth + 1, left + 1))
         stack.append((idx[go_left], depth + 1, left))
     return TreeNodes(*zip(*nodes))
+
+
+@dataclass(frozen=True)
+class CvResult:
+    """One grid point's cross-validation: its folds and their mean."""
+    mean_accuracy: float
+    folds: tuple
 
 
 def kfold_cv_brute(spec, fold_datasets) -> CvResult:

@@ -1,5 +1,6 @@
 """Command-line surface: synth, inspect, run, evaluate."""
 
+import csv
 import json
 import os
 import shutil
@@ -120,6 +121,52 @@ def test_evaluate_saved_model(corpus, finished_run, capsys, tmp_path):
         row, label, prob = line.split(",")
         assert label in ("0", "1")
         assert 0.0 <= float(prob) <= 1.0  # plain decimal text, no reprs
+
+
+def test_every_csv_of_run_and_evaluate_ends_lines_in_crlf(corpus, tmp_path,
+                                                         monkeypatch, capsys):
+    from flowguard import cli
+
+    reports = []
+    write = cli.write_report_files
+    monkeypatch.setattr(cli, "write_report_files",
+                        lambda report, out: reports.append(report) or write(report, out))
+    out, preds = tmp_path / "run", tmp_path / "preds.csv"
+    assert main(["run", "--data", str(corpus), "--folds", "3", "--save-models",
+                 "--out", str(out)]) == 0
+    assert main(["evaluate", "--model", str(out / "model_knn_balanced.json"),
+                 "--data", str(corpus), "--out", str(preds)]) == 0
+    capsys.readouterr()
+    paths = sorted(out.glob("*.csv")) + [preds]
+    assert len(paths) == 3 * 10 + 1  # roc, validation curve, confusion; predictions
+    for path in paths:
+        text = path.read_bytes().decode("utf-8")
+        assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", ""), path.name
+
+    def cells(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+
+    (report,) = reports
+    for track in report.tracks:
+        for m in track.models:
+            tag = f"{m.name}_{track.track}"
+            roc = cells(out / f"roc_{tag}.csv")
+            assert roc[0] == ["fpr", "tpr"]
+            assert [(float(x), float(t)) for x, t in roc[1:]] == list(
+                zip(m.roc.fpr.tolist(), m.roc.tpr.tolist()))
+            curve = cells(out / f"validation_curve_{tag}.csv")
+            assert curve[0] == ["fold", "train_accuracy", "validation_accuracy"]
+            assert [(int(f), float(a), float(v)) for f, a, v in curve[1:]] == [
+                (fr.fold, fr.train_accuracy, fr.validation_accuracy) for fr in m.folds]
+            cm = m.test.confusion
+            assert cells(out / f"confusion_{tag}.csv") == [
+                ["", "predicted_benign", "predicted_ddos"],
+                ["actual_benign", str(cm.tn), str(cm.fp)],
+                ["actual_ddos", str(cm.fn), str(cm.tp)]]
+    rows = cells(preds)
+    assert rows[0] == ["row", "label", "probability"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(150))
 
 
 def test_save_models_trains_nothing_extra(corpus, tmp_path, monkeypatch, capsys,

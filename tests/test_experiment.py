@@ -10,7 +10,7 @@ import pytest
 from flowguard import classifiers, experiment
 from flowguard.cli import _save_track_models
 from flowguard.dataset import (Dataset, content_hash, encode_categoricals,
-                               stratified_split)
+                               load_csv, stratified_split)
 from flowguard.experiment import (
     ExperimentConfig,
     PipelineState,
@@ -24,7 +24,7 @@ from flowguard.experiment import (
     write_report_files,
 )
 from flowguard.classifiers import LEARNERS
-from flowguard.preprocess import LofConfig, SmoteConfig
+from flowguard.preprocess import LofConfig, SmoteConfig, fit_scaler
 from flowguard.synth import SynthConfig, generate
 
 SMALL_GRIDS = {"RF": {"n_trees": (5,)}, "KNN": {"k": (3,)}}
@@ -376,3 +376,51 @@ def test_pipeline_state_bundle_round_trip():
     bare = PipelineState.from_dict({"scaler": doc["scaler"]})
     assert (bare.feature_names, bare.category_maps, bare.selected) == (None, {}, None)
     assert bare.prepare(train).X.tobytes() == train.X.tobytes()
+
+
+def test_prepare_refuses_a_coded_column_read_as_numbers(tmp_path):
+    scaler = fit_scaler(Dataset(feature_names=("proto", "x"), X=[[0.0, 1.0], [1.0, 2.0]],
+                                y=[0, 1]))
+    state = PipelineState(scaler=scaler, selected=None, feature_names=("proto", "x"),
+                          category_maps={"proto": ("6", "17", "tcp")})
+    for rows in ("6,1,0\n17,2,1\n", "6,1,0\n,2,1\n"):  # the second with a gap
+        path = tmp_path / "capture.csv"
+        path.write_text("proto,x,label\n" + rows)
+        with pytest.raises(ValueError, match=r"\['proto'\].*text_columns"):
+            state.prepare(load_csv(path))
+    path.write_text("proto,x,label\n6,1,0\n17,2,1\n")
+    as_text = state.prepare(load_csv(path, text_columns=tuple(state.category_maps)))
+    assert as_text.X.tolist() == [[0.0, 1.0], [1.0, 2.0]]
+    # a column that reads as text on its own needs no text_columns
+    path.write_text("proto,x,label\ntcp,1,0\n17,2,1\n")
+    assert state.prepare(load_csv(path)).X.tolist() == [[2.0, 1.0], [1.0, 2.0]]
+
+
+def test_without_fork_each_track_is_searched_before_the_next_is_prepared(
+        tmp_path, monkeypatch):
+    ds, cfg = small_data(), small_config()
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    events = []
+    prepare, search = experiment._prepare_track, experiment._search_model
+    monkeypatch.setattr(experiment, "_prepare_track",
+                        lambda track, *a: events.append(track) or prepare(track, *a))
+    monkeypatch.setattr(experiment, "_search_model",
+                        lambda *job: events.append(job[0]) or search(*job))
+    outputs, seen = {}, {}
+    for fork in (True, False):
+        methods = multiprocessing.get_all_start_methods() if fork else ["spawn"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        events.clear()
+        report = run_full_experiment(cfg, ds)
+        out = tmp_path / f"fork{fork}"
+        write_report_files(report, out)
+        _save_track_models(report, out, "label")
+        outputs[fork] = {p.name: p.read_bytes() for p in out.iterdir()}
+        seen[fork] = list(events)
+        assert multiprocessing.active_children() == []
+    # with fork both tracks are prepared here and searched in pool workers;
+    # without it every search runs here, a track's before the next is prepared
+    assert seen[True] == ["imbalanced", "balanced"]
+    assert seen[False] == ["imbalanced", "RF", "KNN", "balanced", "RF", "KNN"]
+    assert len(outputs[False]) == 1 + 2 * 2 * 4  # report; 3 plots + 1 bundle each
+    assert outputs[False] == outputs[True]

@@ -1,10 +1,14 @@
 """Metric implementations against exact-arithmetic references."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
+from flowguard.experiment import (ExperimentConfig, ExperimentReport, ModelResult,
+                                  TrackReport, write_report_files)
 from flowguard.metrics import (
     ConfusionMatrix,
     agreement_metrics,
@@ -161,14 +165,25 @@ def test_roc_rejects_degenerate_input():
 
 
 def test_roc_curve_csv(tmp_path):
-    curve = roc_auc(np.array([1, 0, 1, 0]), np.array([0.9, 0.6, 0.4, 0.1]))
-    out = tmp_path / "roc.csv"
-    curve.to_csv(out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "fpr,tpr"
-    assert len(lines) == len(curve.fpr) + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == curve.fpr[0]
+    # the roc_<model>_<track>.csv file of a run: fpr,tpr cells that read back
+    # as the curve's exact points, CRLF line ends
+    y, scores = np.array([1, 0, 1, 0]), np.array([0.9, 0.6, 0.4, 0.1])
+    test, curve = evaluate_predictions(y, (scores >= 0.5).astype(int), scores)
+    model = ModelResult(name="m", kind="KNN", hyperparameters={},
+                        training_accuracy=1.0, mean_cv_accuracy=1.0, folds=(),
+                        test=test, roc=curve, grid_trace=(), model=None)
+    track = TrackReport(track="balanced", pipeline=(), smote_added=0, lof_removed=0,
+                        train_rows=4, constant_features=(), selected_features=None,
+                        models=(model,), state=None)
+    write_report_files(ExperimentReport(config=ExperimentConfig(), dataset_info={},
+                                        split_info={}, tracks=(track,),
+                                        generated_at=None), tmp_path)
+    text = (tmp_path / "roc_m_balanced.csv").read_bytes().decode()
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["fpr", "tpr"]
+    assert [(float(x), float(t)) for x, t in rows[1:]] == list(zip(curve.fpr,
+                                                                   curve.tpr))
 
 
 def test_brier_worked_example():
@@ -187,6 +202,8 @@ def test_brier_matches_oracle_and_bounds():
     assert brier_score(np.array([1, 0]), np.array([1.0, 0.0])) == 0.0
     with pytest.raises(ValueError):
         brier_score(np.array([1, 0]), np.array([1.2, 0.0]))
+    with pytest.raises(ValueError):  # as roc_auc refuses it on two classes
+        brier_score(np.array([0, 0]), np.array([np.nan, 0.5]))
 
 
 def test_evaluate_predictions_report():

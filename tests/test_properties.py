@@ -6,6 +6,7 @@ order-dependent code most easily goes wrong.
 
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -101,22 +102,24 @@ def assert_within(value, low, high, name):
 @given(scored_predictions())
 def test_metrics_stay_within_bounds(case):
     y_true, labels, probs = case
+    report, curve = evaluate_predictions(y_true, labels, probs)
     if len(set(y_true.tolist())) == 2:
-        report, _ = evaluate_predictions(y_true, labels, probs)
-        unit = {"accuracy": report.accuracy, "precision": report.precision,
-                "recall": report.recall, "f1": report.f1, "auc": report.auc,
-                "brier": report.brier}
-        signed = {"kappa": report.kappa, "mcc": report.mcc}
+        assert report.auc == curve.auc
     else:
-        # AUC is undefined on one class; every other metric is still reported
-        with pytest.raises(ValueError, match="both classes"):
-            evaluate_predictions(y_true, labels, probs)
+        # AUC is undefined on one class: no curve, and 0.0 listed as
+        # degenerate; every other metric is reported as it is on its own
+        assert curve is None
+        assert report.auc == 0.0 and "auc" in report.degenerate
         cm = confusion_matrix(y_true, labels)
         core, agree = core_metrics(cm), agreement_metrics(cm)
-        unit = {"accuracy": core.accuracy, "precision": core.precision,
-                "recall": core.recall, "f1": core.f1,
-                "brier": brier_score(y_true, probs)}
-        signed = {"kappa": agree.kappa, "mcc": agree.mcc}
+        assert report.to_dict() == {
+            **asdict(core), **asdict(agree), "auc": 0.0,
+            "brier": brier_score(y_true, probs), "confusion": asdict(cm),
+            "degenerate": core.degenerate + ("auc",) + agree.degenerate}
+    unit = {"accuracy": report.accuracy, "precision": report.precision,
+            "recall": report.recall, "f1": report.f1, "auc": report.auc,
+            "brier": report.brier}
+    signed = {"kappa": report.kappa, "mcc": report.mcc}
     for name, value in unit.items():
         assert_within(value, 0.0, 1.0, name)
     for name, value in signed.items():

@@ -11,6 +11,7 @@ from pathlib import Path
 from flowguard import SynthConfig, generate
 from flowguard.experiment import (
     ExperimentConfig,
+    report_to_dict,
     run_full_experiment,
     write_report_files,
 )
@@ -35,9 +36,10 @@ print(f"dataset: {report.dataset_info['rows']} rows, "
       f"labels {report.dataset_info['labels']}")
 print(f"split: {report.split_info['train_rows']} train / "
       f"{report.split_info['test_rows']} test")
-for track in report.tracks:
-    print(f"--- {track.track}: pipeline {'+'.join(track.pipeline)}, "
-          f"+{track.smote_added} synthetic, -{track.lof_removed} outliers, "
+for track, entry in zip(report.tracks, report_to_dict(report)["tracks"]):
+    # what a track's preprocessing did is read off its fitted pipeline
+    print(f"--- {track.track}: pipeline {'+'.join(entry['pipeline'])}, "
+          f"+{track.state.smote_added} synthetic, -{track.state.lof_removed} outliers, "
           f"{track.train_rows} final train rows")
     for m in track.models:
         print(f"  {m.name:<4} cv {m.mean_cv_accuracy:.4f}  "

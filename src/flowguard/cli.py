@@ -21,7 +21,7 @@ from .experiment import (ExperimentConfig, PipelineState, report_to_dict,
                          run_full_experiment, write_report_files)
 from .metrics import evaluate_predictions
 from .preprocess import LofConfig, SmoteConfig
-from .synth import SynthConfig, generate, write_csv
+from .synth import SynthConfig, generate, with_tokens, write_csv
 
 
 class StageError(Exception):
@@ -132,9 +132,8 @@ def _load_dataset(args):
     with _stage("load"):
         if (args.data is None) == (args.synth is None):
             raise ValueError("exactly one of --data or --synth is required")
-        if args.synth is not None:
-            return generate(_parse_synth_spec(args.synth))
-        ds = load_csv(args.data, label_column=args.label_column)
+        ds = (load_csv(args.data, label_column=args.label_column) if args.synth is None
+              else with_tokens(generate(_parse_synth_spec(args.synth))))
     with _stage("clean"):
         return encode_categoricals(impute_missing(ds))
 
@@ -179,10 +178,10 @@ def _save_track_models(report, out_dir, label_column):
     # The run's own final models, each bundled with its track's fitted
     # pipeline so `evaluate` can reproduce preprocessing.
     for track_report in report.tracks:
-        pipeline = track_report.state.to_dict(label_column)
+        state = dataclasses.replace(track_report.state, label_column=label_column)
         for m in track_report.models:
             path = out_dir / f"model_{m.name}_{track_report.track}.json"
-            clf.save_model(m.model, path, pipeline=pipeline)
+            clf.save_model(m.model, path, pipeline=state.to_dict())
 
 
 def _cmd_inspect(args):
@@ -215,12 +214,15 @@ def _cmd_evaluate(args):
     with _stage("model"):
         model, pipeline = clf.load_model(args.model)
         state = PipelineState.from_dict(pipeline)
-    label_column = args.label_column or pipeline.get("label_column",
-                                                     DEFAULT_LABEL_COLUMN)
+        width = state.scaler.n_features if state.selected is None else len(state.selected)
+        if width != model.feature_arity:
+            raise ValueError(f"malformed model pipeline: it gives {width} features, "
+                             f"the model takes {model.feature_arity}")
     with _stage("load"):
         # A column the model encodes by category stays text, even where its
         # tokens look like numbers (protocol numbers such as 6 and 17).
-        ds = state.prepare(load_csv(args.data, label_column=label_column,
+        ds = state.prepare(load_csv(args.data,
+                                    label_column=args.label_column or state.label_column,
                                     text_columns=tuple(state.category_maps)))
     with _stage("evaluate"):
         ds = state.transform(ds)

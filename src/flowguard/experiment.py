@@ -52,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers as clf
-from .dataset import (Dataset, SplitPair, apply_category_maps, content_hash,
-                      impute_missing, label_distribution,
+from .dataset import (DEFAULT_LABEL_COLUMN, Dataset, SplitPair, apply_category_maps,
+                      content_hash, impute_missing, label_distribution,
                       stratified_fold_indices, stratified_split, write_rows)
 from .metrics import MetricsReport, RocCurve, evaluate_predictions
 from .preprocess import (LofConfig, Scaler, SmoteConfig, apply_scaler,
@@ -153,12 +153,7 @@ class ModelResult:
 @dataclass(frozen=True)
 class TrackReport:
     track: str
-    pipeline: tuple
-    smote_added: int
-    lof_removed: int
     train_rows: int
-    constant_features: tuple
-    selected_features: tuple | None
     models: tuple
     state: PipelineState = field(compare=False, repr=False)
 
@@ -187,6 +182,7 @@ class PipelineState:
     lof_removed: int = 0
     feature_names: tuple | None = None
     category_maps: dict = field(default_factory=dict)
+    label_column: str = DEFAULT_LABEL_COLUMN  # set by the run that saves a bundle
 
     def prepare(self, ds: Dataset) -> Dataset:
         """A raw capture encoded as the training data was: its columns picked
@@ -219,12 +215,12 @@ class PipelineState:
             out = _select_columns(out, self.selected)
         return out
 
-    def to_dict(self, label_column: str) -> dict:
+    def to_dict(self) -> dict:
         """The ``pipeline`` entry of a saved model bundle."""
         return {
             "scaler": scaler_to_dict(self.scaler),
             "category_maps": self.category_maps,
-            "label_column": label_column,
+            "label_column": self.label_column,
             "feature_names": self.feature_names,
             "selected": self.selected,
         }
@@ -232,7 +228,8 @@ class PipelineState:
     @classmethod
     def from_dict(cls, data) -> "PipelineState":
         """The state in a bundle's ``pipeline`` entry, of which only ``scaler``
-        is required; ValueError if the entry is absent or malformed."""
+        is required; ValueError if the entry is absent or malformed (a name,
+        token or index listed twice, a label column that is not a string)."""
         if data is None:
             raise ValueError("model file carries no preprocessing bundle; save "
                              "models via `flowguard run --save-models`")
@@ -243,20 +240,23 @@ class PipelineState:
             names = None if names is None else _tupled(names, str)
             selected = None if selected is None else _tupled(selected, int)
             maps = {k: _tupled(v, str) for k, v in data.get("category_maps", {}).items()}
+            label_column = data.get("label_column", DEFAULT_LABEL_COLUMN)
+            if not isinstance(label_column, str):
+                raise TypeError(f"label column {label_column!r} is not a string")
             if (names is not None and len(names) != d
                     or not all(0 <= i < d for i in selected or ())):
                 raise ValueError(f"entries that do not fit a scaler of {d} features")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model pipeline: {exc!r}") from exc
         return cls(scaler=scaler, selected=selected, feature_names=names,
-                   category_maps=maps)
+                   category_maps=maps, label_column=label_column)
 
 
 def _tupled(values, kind):
-    """A JSON list of ``kind`` values as a tuple; TypeError if it is not one."""
-    if not isinstance(values, list) or not all(
-            isinstance(v, kind) and not isinstance(v, bool) for v in values):
-        raise TypeError(f"expected a list of {kind.__name__}, got {values!r}")
+    """A JSON list of distinct ``kind`` values as a tuple; TypeError if not."""
+    if (not isinstance(values, list) or any(type(v) is not kind for v in values)
+            or len(set(values)) < len(values)):
+        raise TypeError(f"expected a list of distinct {kind.__name__}, got {values!r}")
     return tuple(values)
 
 
@@ -533,21 +533,10 @@ def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
             for kind in cfg.models
             for proc_train, proc_test, _, fold_datasets in prepared]
     results = _search_all(jobs, processes)
-    reports = []
-    for t, (track, (proc_train, _, state, _)) in enumerate(zip(tracks, prepared)):
-        stages = (["smote"] if track == "balanced" else []) + ["lof", "scale"]
-        if state.selected is not None:
-            stages.append("select")
-        names = split.train.feature_names
-        constant = tuple(names[i] for i in np.flatnonzero(state.scaler.constant_mask))
-        selected = (None if state.selected is None
-                    else tuple(names[i] for i in state.selected))
-        reports.append(TrackReport(
-            track=track, pipeline=tuple(stages), smote_added=state.smote_added,
-            lof_removed=state.lof_removed, train_rows=proc_train.n_rows,
-            constant_features=constant, selected_features=selected,
-            models=tuple(results[t::len(tracks)]), state=state))
-    return tuple(reports)
+    return tuple(TrackReport(track=track, train_rows=proc_train.n_rows,
+                             models=tuple(results[t::len(tracks)]), state=state)
+                 for t, (track, (proc_train, _, state, _))
+                 in enumerate(zip(tracks, prepared)))
 
 
 def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackReport:
@@ -600,17 +589,9 @@ def _generation_timestamp():
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "split_ratio": cfg.split_ratio,
-        "cv_folds": cfg.cv_folds,
-        "seed": cfg.seed,
-        "tracks": cfg.tracks,
-        "models": [clf.learner(k).report_name for k in cfg.models],
-        "grids": {clf.learner(k).report_name: grid for k, grid in cfg.grids.items()},
-        "smote": dataclasses.asdict(cfg.smote),
-        "lof": dataclasses.asdict(cfg.lof),
-        "select_top_m": cfg.select_top_m,
-    }
+    return {**dataclasses.asdict(cfg),
+            "models": [clf.learner(k).report_name for k in cfg.models],
+            "grids": {clf.learner(k).report_name: g for k, g in cfg.grids.items()}}
 
 
 def _model_to_dict(m: ModelResult) -> dict:
@@ -626,6 +607,25 @@ def _model_to_dict(m: ModelResult) -> dict:
     }
 
 
+def _track_to_dict(t: TrackReport) -> dict:
+    state, names = t.state, t.state.feature_names
+    selected = None if state.selected is None else [names[i] for i in state.selected]
+    return {
+        "track": t.track,
+        "pipeline": (["smote"] if t.track == "balanced" else []) + ["lof", "scale"]
+                    + (["select"] if selected is not None else []),
+        "preprocessing": {
+            "smote_added": state.smote_added,
+            "lof_removed": state.lof_removed,
+            "train_rows_after": t.train_rows,
+            "constant_features": [names[i] for i in
+                                  np.flatnonzero(state.scaler.constant_mask)],
+            "selected_features": selected,
+        },
+        "models": [_model_to_dict(m) for m in t.models],
+    }
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "format": "flowguard-report",
@@ -634,18 +634,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "config": config_to_dict(report.config),
         "dataset": report.dataset_info,
         "split": report.split_info,
-        "tracks": [{
-            "track": t.track,
-            "pipeline": t.pipeline,
-            "preprocessing": {
-                "smote_added": t.smote_added,
-                "lof_removed": t.lof_removed,
-                "train_rows_after": t.train_rows,
-                "constant_features": t.constant_features,
-                "selected_features": t.selected_features,
-            },
-            "models": [_model_to_dict(m) for m in t.models],
-        } for t in report.tracks],
+        "tracks": [_track_to_dict(t) for t in report.tracks],
     }
 
 

@@ -34,8 +34,8 @@ class SynthConfig:
             raise ValueError("need at least one row per class")
         if self.n_features < 2:
             raise ValueError("need at least 2 features")
-        if self.class_separation < 0:
-            raise ValueError("class_separation must be >= 0")
+        if not 0 <= self.class_separation < np.inf:
+            raise ValueError("class_separation must be finite and >= 0")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
 
@@ -72,15 +72,17 @@ def generate(cfg: SynthConfig) -> Dataset:
     return Dataset(feature_names=names, X=X[perm], y=y[perm], provenance=provenance)
 
 
-def write_csv(cfg: SynthConfig, path) -> Dataset:
-    """Generate and write the standard CSV; categorical codes become tokens.
-
-    The tokenized protocol columns exercise the loader's categorical typing
-    and first-appearance encoding on the way back in.
-    """
-    ds = generate(cfg)
+def with_tokens(ds: Dataset) -> Dataset:
+    """A generated dataset as its CSV holds it: protocol codes become tokens,
+    which exercise categorical typing and first-appearance encoding."""
     X = ds.X.astype(object)
-    for j in categorical_columns(cfg.n_features):
+    for j in categorical_columns(ds.n_features):
         X[:, j] = np.array(PROTOCOL_TOKENS, dtype=object)[ds.X[:, j].astype(np.int64)]
-    dataset_to_csv(ds.replace(X=X), path)
+    return ds.replace(X=X)
+
+
+def write_csv(cfg: SynthConfig, path) -> Dataset:
+    """Write ``with_tokens(generate(cfg))`` as CSV; returns ``generate(cfg)``."""
+    ds = generate(cfg)
+    dataset_to_csv(with_tokens(ds), path)
     return ds

@@ -374,9 +374,15 @@ def dumps_with_literals(doc):
     lambda p: p["scaler"]["scale"].__setitem__(0, OVERFLOW),
     lambda p: p["scaler"]["scale"].__setitem__(0, 0),
     lambda p: p["scaler"]["scale"].__setitem__(0, -1),
+    lambda p: p.update(selected=[0, 1, 2]),  # 3 columns for a model of 5
+    lambda p: p.update(selected=[0, 0]),
+    lambda p: p["feature_names"].__setitem__(1, p["feature_names"][0]),
+    lambda p: p["category_maps"]["f03"].append(p["category_maps"]["f03"][0]),
+    lambda p: p.update(label_column=5),
 ], ids=["no_scaler", "no_scale", "short_mean", "mask_text", "short_names", "names_text",
         "selected_range", "selected_bool", "map_text", "maps_list", "mean_1e999",
-        "scale_401_digits", "scale_zero", "scale_negative"])
+        "scale_401_digits", "scale_zero", "scale_negative", "narrower_than_model",
+        "selected_repeated", "names_repeated", "token_repeated", "label_column_number"])
 def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, capsys,
                                              edit):
     doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
@@ -685,6 +691,35 @@ def test_config_accepts_integral_numbers(tmp_path):
     assert got == {"cv_folds": 3, "seed": 7, "split_ratio": 1.0,
                    "lof_threshold": 1.5, "tracks": "balanced"}
     assert type(got["cv_folds"]) is int and type(got["split_ratio"]) is float
+
+
+def test_synth_refuses_non_finite_separation(tmp_path, capsys):
+    for sep in ("inf", "nan"):
+        out = tmp_path / f"{sep}.csv"
+        assert main(["synth", "--sep", sep, "--out", str(out)]) == 1
+        assert "error[synth]: class_separation must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_synth_runs_on_the_capture_synth_writes(tmp_path, capsys):
+    data = tmp_path / "flows.csv"
+    assert main(["synth", "--n-benign", "60", "--n-ddos", "40", "--features", "5",
+                 "--sep", "3", "--seed", "3", "--out", str(data)]) == 0
+    reports, outs = [], []
+    for source in (["--synth", "n_benign=60,n_ddos=40,features=5,sep=3,seed=3"],
+                   ["--data", str(data)]):
+        outs.append(tmp_path / source[0].strip("-"))
+        assert main(["run", *source, "--folds", "3", "--save-models",
+                     "--out", str(outs[-1])]) == 0
+        reports.append(json.loads((outs[-1] / "report.json").read_text()))
+        reports[-1]["dataset"].pop("provenance")
+    assert reports[0] == reports[1]
+    bundles = sorted(outs[0].glob("model_*.json"))
+    assert len(bundles) == 10
+    for bundle in bundles:
+        assert bundle.read_bytes() == (outs[1] / bundle.name).read_bytes()
+        assert main(["evaluate", "--model", str(bundle), "--data", str(data)]) == 0
+    capsys.readouterr()
 
 
 def test_bad_synth_spec_fails(capsys):

@@ -1,5 +1,6 @@
 """Experiment engine: CV, grid search, track pipelines, report artifacts."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ from flowguard.experiment import (
     grid_search,
     run_full_experiment,
     run_track,
+    report_to_dict,
     report_to_json,
     write_report_files,
 )
@@ -186,9 +188,11 @@ def test_run_track_leaves_test_partition_untouched():
     imbal = run_track("imbalanced", split, cfg)
     bal = run_track("balanced", split, cfg)
     assert content_hash(split.test) == before
-    assert imbal.smote_added == 0
-    assert bal.smote_added > 0
-    assert "smote" in bal.pipeline and "smote" not in imbal.pipeline
+    assert imbal.state.smote_added == 0
+    assert bal.state.smote_added > 0
+    bal_stages, imbal_stages = (experiment._track_to_dict(t)["pipeline"]
+                                for t in (bal, imbal))
+    assert "smote" in bal_stages and "smote" not in imbal_stages
     assert bal.train_rows >= imbal.train_rows
 
 
@@ -335,9 +339,9 @@ def test_feature_selection_keeps_informative_columns():
     cfg = small_config(select_top_m=2, models=("KNN",),
                        grids={"KNN": {"k": (3,)}})
     report = run_full_experiment(cfg, ds)
-    for track in report.tracks:
-        assert set(track.selected_features) == {"f1", "f4"}
-        assert "select" in track.pipeline
+    for track in report_to_dict(report)["tracks"]:
+        assert set(track["preprocessing"]["selected_features"]) == {"f1", "f4"}
+        assert "select" in track["pipeline"]
 
 
 def test_pipeline_lists_select_only_when_it_ran():
@@ -346,8 +350,8 @@ def test_pipeline_lists_select_only_when_it_ran():
     report = run_full_experiment(cfg, small_data())
     doc = json.loads(report_to_json(report))
     for track, entry in zip(report.tracks, doc["tracks"]):
-        assert track.selected_features is None and track.state.selected is None
-        assert "select" not in track.pipeline
+        assert track.state.selected is None
+        assert "select" not in entry["pipeline"]
         assert entry["pipeline"][-2:] == ["lof", "scale"]
         assert entry["preprocessing"]["selected_features"] is None
 
@@ -360,12 +364,13 @@ def test_pipeline_state_bundle_round_trip():
     _, state = fit_track_pipeline(train, None, None, select_top_m=2)
     assert state.feature_names == ("p", "a", "c")
     assert state.category_maps == {"p": ("tcp", "udp", "icmp")}
-    doc = state.to_dict("cls")
+    doc = dataclasses.replace(state, label_column="cls").to_dict()
     assert list(doc) == ["scaler", "category_maps", "label_column", "feature_names",
                          "selected"]
     assert doc["label_column"] == "cls"
     back = PipelineState.from_dict(json.loads(json.dumps(doc)))
-    assert back.to_dict("cls") == doc
+    assert back.label_column == "cls"
+    assert back.to_dict() == doc
     # the raw capture, columns shuffled, scores as the encoded training rows do
     shuffled = raw.replace(feature_names=("c", "p", "a"), X=raw.X[:, [2, 0, 1]])
     got = back.transform(back.prepare(shuffled))
@@ -374,7 +379,8 @@ def test_pipeline_state_bundle_round_trip():
     assert got.X.tobytes() == want.X.tobytes()
 
     bare = PipelineState.from_dict({"scaler": doc["scaler"]})
-    assert (bare.feature_names, bare.category_maps, bare.selected) == (None, {}, None)
+    assert ((bare.feature_names, bare.category_maps, bare.selected, bare.label_column)
+            == (None, {}, None, "label"))
     assert bare.prepare(train).X.tobytes() == train.X.tobytes()
 
 

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from flowguard.dataset import Dataset
 from flowguard.experiment import (ExperimentConfig, ExperimentReport, ModelResult,
-                                  TrackReport, write_report_files)
+                                  TrackReport, fit_track_pipeline, write_report_files)
 from flowguard.metrics import (
     ConfusionMatrix,
     agreement_metrics,
@@ -172,9 +173,9 @@ def test_roc_curve_csv(tmp_path):
     model = ModelResult(name="m", kind="KNN", hyperparameters={},
                         training_accuracy=1.0, mean_cv_accuracy=1.0, folds=(),
                         test=test, roc=curve, grid_trace=(), model=None)
-    track = TrackReport(track="balanced", pipeline=(), smote_added=0, lof_removed=0,
-                        train_rows=4, constant_features=(), selected_features=None,
-                        models=(model,), state=None)
+    _, state = fit_track_pipeline(Dataset(feature_names=("x",), X=scores[:, None], y=y),
+                                  None, None)
+    track = TrackReport(track="balanced", train_rows=4, models=(model,), state=state)
     write_report_files(ExperimentReport(config=ExperimentConfig(), dataset_info={},
                                         split_info={}, tracks=(track,),
                                         generated_at=None), tmp_path)

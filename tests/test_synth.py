@@ -117,3 +117,6 @@ def test_config_validation():
         SynthConfig(n_benign=10, n_ddos=10, n_features=0)
     with pytest.raises(ValueError):
         SynthConfig(n_benign=10, n_ddos=10, class_separation=-1.0)
+    for sep in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SynthConfig(n_benign=10, n_ddos=10, class_separation=sep)

@@ -31,18 +31,19 @@ cfg = ExperimentConfig(
 )
 
 report = run_full_experiment(cfg, ds)
+# the run returns what it made; report_to_dict writes it in the report format
+doc = report_to_dict(report)
 
-print(f"dataset: {report.dataset_info['rows']} rows, "
-      f"labels {report.dataset_info['labels']}")
-print(f"split: {report.split_info['train_rows']} train / "
-      f"{report.split_info['test_rows']} test")
-for track, entry in zip(report.tracks, report_to_dict(report)["tracks"]):
+print(f"dataset: {doc['dataset']['rows']} rows, labels {doc['dataset']['labels']}")
+print(f"split: {report.split.train.n_rows} train / {report.split.test.n_rows} test")
+for track, entry in zip(report.tracks, doc["tracks"]):
     # what a track's preprocessing did is read off its fitted pipeline
     print(f"--- {track.track}: pipeline {'+'.join(entry['pipeline'])}, "
           f"+{track.state.smote_added} synthetic, -{track.state.lof_removed} outliers, "
           f"{track.train_rows} final train rows")
     for m in track.models:
-        print(f"  {m.name:<4} cv {m.mean_cv_accuracy:.4f}  "
+        # a model's CV facts are those of its grid search
+        print(f"  {m.name:<4} cv {m.search.mean_cv_accuracy:.4f}  "
               f"test acc {m.test.accuracy:.4f}  auc {m.test.auc:.4f}  "
               f"kappa {m.test.kappa:.4f}  brier {m.test.brier:.4f}  "
               f"best {m.hyperparameters}")

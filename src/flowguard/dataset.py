@@ -111,10 +111,6 @@ class LabelDistribution:
     benign_count: int
     ddos_count: int
 
-    @property
-    def total(self):
-        return self.benign_count + self.ddos_count
-
 
 @dataclass(frozen=True)
 class SplitPair:

@@ -7,8 +7,8 @@ training rows and standardize with a train-fitted scaler (test data only
 ever sees the scaler). Every enabled model is grid-searched by stratified
 k-fold CV with preprocessing refit inside each fold, retrained on the full
 processed training partition, and evaluated once on the processed test
-partition. The report keeps each final model and each track's fitted
-pipeline (outside the serialized report), so saving them retrains nothing.
+partition. The run returns what it made, final models and fitted pipelines
+included, so saving them retrains nothing; ``report_to_dict`` writes it.
 
 Grid points that differ only in their learner's staged hyperparameter (GBT
 rounds, RF n_trees, KNN k: see ``TrainedModel.staged_predict_sets``) share
@@ -84,6 +84,12 @@ class ExperimentConfig:
             raise ValueError("split_ratio must lie in (0, 1)")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.smote, SmoteConfig):
+            raise ValueError(f"smote must be a SmoteConfig, got {self.smote!r}")
+        if not isinstance(self.lof, LofConfig):
+            raise ValueError(f"lof must be a LofConfig, got {self.lof!r}")
         object.__setattr__(self, "tracks", tuple(self.tracks))
         object.__setattr__(self, "models", tuple(self.models))
         for track in self.tracks:
@@ -138,16 +144,27 @@ class GridSearchOutcome:
 
 @dataclass(frozen=True)
 class ModelResult:
-    name: str
-    kind: str
-    hyperparameters: dict
+    """One learner on one track: its grid search (the CV facts: mean
+    accuracy, folds and trace), the winner retrained on the processed
+    training partition, and that model's training and test scores."""
+
+    search: GridSearchOutcome
+    model: clf.TrainedModel = field(compare=False, repr=False)
     training_accuracy: float
-    mean_cv_accuracy: float
-    folds: tuple
     test: MetricsReport
     roc: RocCurve
-    grid_trace: tuple
-    model: clf.TrainedModel = field(compare=False, repr=False)
+
+    @property
+    def name(self) -> str:
+        return self.model.report_name
+
+    @property
+    def kind(self) -> str:
+        return self.model.kind
+
+    @property
+    def hyperparameters(self) -> dict:
+        return self.model.spec.hyperparameters
 
 
 @dataclass(frozen=True)
@@ -160,11 +177,13 @@ class TrackReport:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """What a run made: the dataset it ran on, its split and one TrackReport
+    per track. ``report_to_dict`` writes it in the report format."""
+
     config: ExperimentConfig
-    dataset_info: dict
-    split_info: dict
+    dataset: Dataset = field(compare=False, repr=False)
+    split: SplitPair = field(compare=False, repr=False)
     tracks: tuple
-    generated_at: str | None
 
 
 @dataclass(frozen=True)
@@ -229,7 +248,8 @@ class PipelineState:
     def from_dict(cls, data) -> "PipelineState":
         """The state in a bundle's ``pipeline`` entry, of which only ``scaler``
         is required; ValueError if the entry is absent or malformed (a name,
-        token or index listed twice, a label column that is not a string)."""
+        token or index listed twice, indices out of ascending order, a label
+        column that is not a string)."""
         if data is None:
             raise ValueError("model file carries no preprocessing bundle; save "
                              "models via `flowguard run --save-models`")
@@ -246,6 +266,8 @@ class PipelineState:
             if (names is not None and len(names) != d
                     or not all(0 <= i < d for i in selected or ())):
                 raise ValueError(f"entries that do not fit a scaler of {d} features")
+            if selected is not None and list(selected) != sorted(selected):
+                raise ValueError(f"selected columns {selected} are not ascending")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model pipeline: {exc!r}") from exc
         return cls(scaler=scaler, selected=selected, feature_names=names,
@@ -453,20 +475,14 @@ def _search_model(kind, grid, fold_datasets, proc_train, proc_test,
     """Grid-search one learner on a track's folds, retrain the winner under
     ``seed`` on the processed training partition and score it on the test
     partition."""
-    outcome = grid_search(kind, grid, fold_datasets=fold_datasets, seed=seed)
-    final_spec = outcome.best_spec.with_seed(seed)
-    model = clf.train(final_spec, proc_train)
+    search = grid_search(kind, grid, fold_datasets=fold_datasets, seed=seed)
+    model = clf.train(search.best_spec, proc_train)  # best_spec carries ``seed``
     training_accuracy = _accuracy(clf.predict(model, proc_train), proc_train)
     test_pred = clf.predict(model, proc_test)
     test_report, roc = evaluate_predictions(proc_test.y, test_pred.labels,
                                             test_pred.probabilities)
-    return ModelResult(
-        name=model.report_name, kind=kind,
-        hyperparameters=dict(final_spec.hyperparameters),
-        training_accuracy=training_accuracy,
-        mean_cv_accuracy=outcome.mean_cv_accuracy,
-        folds=outcome.folds, test=test_report, roc=roc,
-        grid_trace=outcome.trace, model=model)
+    return ModelResult(search=search, model=model, training_accuracy=training_accuracy,
+                       test=test_report, roc=roc)
 
 
 def _usable_cpus() -> int:
@@ -548,34 +564,9 @@ def run_full_experiment(cfg: ExperimentConfig, ds: Dataset) -> ExperimentReport:
     """Split once under cfg.seed, then run every enabled track on that split."""
     if not ds.is_numeric:
         raise ValueError("run_full_experiment requires an encoded numeric dataset")
-    dist = label_distribution(ds)
     split = stratified_split(ds, cfg.split_ratio, cfg.seed)
-    train_dist = label_distribution(split.train)
-    test_dist = label_distribution(split.test)
-    split_info = {
-        "ratio": cfg.split_ratio,
-        "seed": cfg.seed,
-        "train_rows": split.train.n_rows,
-        "test_rows": split.test.n_rows,
-        "train_labels": {"benign": train_dist.benign_count,
-                         "ddos": train_dist.ddos_count},
-        "test_labels": {"benign": test_dist.benign_count,
-                        "ddos": test_dist.ddos_count},
-        "train_hash": content_hash(split.train),
-        "test_hash": content_hash(split.test),
-    }
-    dataset_info = {
-        "provenance": ds.provenance,
-        "rows": ds.n_rows,
-        "features": ds.n_features,
-        "labels": {"benign": dist.benign_count, "ddos": dist.ddos_count,
-                   "total": dist.total},
-        "content_hash": content_hash(ds),
-    }
-    tracks = _run_tracks(cfg.tracks, split, cfg)
-    return ExperimentReport(config=cfg, dataset_info=dataset_info,
-                            split_info=split_info, tracks=tracks,
-                            generated_at=_generation_timestamp())
+    return ExperimentReport(config=cfg, dataset=ds, split=split,
+                            tracks=_run_tracks(cfg.tracks, split, cfg))
 
 
 def _generation_timestamp():
@@ -600,9 +591,9 @@ def _model_to_dict(m: ModelResult) -> dict:
         "kind": m.kind,
         "hyperparameters": m.hyperparameters,
         "training_accuracy": m.training_accuracy,
-        "mean_cv_accuracy": m.mean_cv_accuracy,
-        "folds": [dataclasses.asdict(fr) for fr in m.folds],
-        "grid": [dataclasses.asdict(gp) for gp in m.grid_trace],
+        "mean_cv_accuracy": m.search.mean_cv_accuracy,
+        "folds": [dataclasses.asdict(fr) for fr in m.search.folds],
+        "grid": [dataclasses.asdict(gp) for gp in m.search.trace],
         "test": m.test.to_dict(),
     }
 
@@ -626,14 +617,28 @@ def _track_to_dict(t: TrackReport) -> dict:
     }
 
 
+def _label_counts(ds: Dataset) -> dict:
+    dist = label_distribution(ds)
+    return {"benign": dist.benign_count, "ddos": dist.ddos_count}
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
+    cfg, ds, split = report.config, report.dataset, report.split
     return {
         "format": "flowguard-report",
         "version": 1,
-        "generated_at": report.generated_at,
-        "config": config_to_dict(report.config),
-        "dataset": report.dataset_info,
-        "split": report.split_info,
+        "generated_at": _generation_timestamp(),
+        "config": config_to_dict(cfg),
+        "dataset": {"provenance": ds.provenance, "rows": ds.n_rows,
+                    "features": ds.n_features,
+                    "labels": {**_label_counts(ds), "total": ds.n_rows},
+                    "content_hash": content_hash(ds)},
+        "split": {"ratio": cfg.split_ratio, "seed": cfg.seed,
+                  "train_rows": split.train.n_rows, "test_rows": split.test.n_rows,
+                  "train_labels": _label_counts(split.train),
+                  "test_labels": _label_counts(split.test),
+                  "train_hash": content_hash(split.train),
+                  "test_hash": content_hash(split.test)},
         "tracks": [_track_to_dict(t) for t in report.tracks],
     }
 
@@ -663,7 +668,8 @@ def write_report_files(report: ExperimentReport, out_dir) -> list:
             cm = m.test.confusion
             files = {
                 "roc": [("fpr", "tpr"), *zip(m.roc.fpr.tolist(), m.roc.tpr.tolist())],
-                "validation_curve": [fold_fields, *map(dataclasses.astuple, m.folds)],
+                "validation_curve": [fold_fields,
+                                     *map(dataclasses.astuple, m.search.folds)],
                 "confusion": [("", "predicted_benign", "predicted_ddos"),
                               ("actual_benign", cm.tn, cm.fp),
                               ("actual_ddos", cm.fn, cm.tp)],

@@ -58,6 +58,8 @@ class SmoteConfig:
             raise ValueError("k_neighbors must be >= 1")
         if not 0 < self.target_ratio < np.inf:
             raise ValueError("target_ratio must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ class SynthConfig:
             raise ValueError("class_separation must be finite and >= 0")
         if not 0.0 <= self.noise_fraction < 1.0:
             raise ValueError("noise_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def categorical_columns(n_features: int):

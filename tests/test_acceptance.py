@@ -19,6 +19,7 @@ from flowguard.experiment import (
     ExperimentConfig,
     fit_track_pipeline,
     run_full_experiment,
+    report_to_dict,
     report_to_json,
     write_report_files,
 )
@@ -309,7 +310,8 @@ def test_reports_are_byte_identical_and_seed_sensitive(tmp_path):
                                    "KNN": {"k": (3, 5)}},
                             lof=LofConfig(k_neighbors=5, threshold=1.5))
     report1 = run_full_experiment(cfg1, ds)
-    assert report0.split_info["train_hash"] != report1.split_info["train_hash"]
+    assert (report_to_dict(report0)["split"]["train_hash"]
+            != report_to_dict(report1)["split"]["train_hash"])
     assert report_to_json(report0) != report_to_json(report1)
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0, f"determinism checks took {elapsed:.1f}s"

@@ -158,7 +158,8 @@ def test_every_csv_of_run_and_evaluate_ends_lines_in_crlf(corpus, tmp_path,
             curve = cells(out / f"validation_curve_{tag}.csv")
             assert curve[0] == ["fold", "train_accuracy", "validation_accuracy"]
             assert [(int(f), float(a), float(v)) for f, a, v in curve[1:]] == [
-                (fr.fold, fr.train_accuracy, fr.validation_accuracy) for fr in m.folds]
+                (fr.fold, fr.train_accuracy, fr.validation_accuracy)
+                for fr in m.search.folds]
             cm = m.test.confusion
             assert cells(out / f"confusion_{tag}.csv") == [
                 ["", "predicted_benign", "predicted_ddos"],
@@ -379,10 +380,13 @@ def dumps_with_literals(doc):
     lambda p: p["feature_names"].__setitem__(1, p["feature_names"][0]),
     lambda p: p["category_maps"]["f03"].append(p["category_maps"]["f03"][0]),
     lambda p: p.update(label_column=5),
+    # every column, at the model's width, but in the wrong order
+    lambda p: p.update(selected=list(range(len(p["scaler"]["mean"])))[::-1]),
 ], ids=["no_scaler", "no_scale", "short_mean", "mask_text", "short_names", "names_text",
         "selected_range", "selected_bool", "map_text", "maps_list", "mean_1e999",
         "scale_401_digits", "scale_zero", "scale_negative", "narrower_than_model",
-        "selected_repeated", "names_repeated", "token_repeated", "label_column_number"])
+        "selected_repeated", "names_repeated", "token_repeated", "label_column_number",
+        "selected_reversed"])
 def test_evaluate_refuses_malformed_pipeline(corpus, finished_run, tmp_path, capsys,
                                              edit):
     doc = json.loads((finished_run / "model_knn_balanced.json").read_text())
@@ -691,6 +695,23 @@ def test_config_accepts_integral_numbers(tmp_path):
     assert got == {"cv_folds": 3, "seed": 7, "split_ratio": 1.0,
                    "lof_threshold": 1.5, "tracks": "balanced"}
     assert type(got["cv_folds"]) is int and type(got["split_ratio"]) is float
+
+
+@pytest.mark.parametrize("stage, argv", [
+    ("config", ["run", "--data", "{corpus}", "--seed", "-1"]),
+    ("config", ["run", "--data", "{corpus}", "--config", "{config}"]),
+    ("synth", ["synth", "--seed", "-1"]),
+    ("load", ["run", "--synth", "n=60,seed=-1"]),
+], ids=["run_seed", "config_smote_seed", "synth_seed", "run_synth_seed"])
+def test_negative_seed_is_refused_by_its_config(corpus, tmp_path, capsys, stage, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"smote_seed": -2}))
+    out = tmp_path / "out"
+    argv = [arg.format(corpus=corpus, config=config) for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{stage}]: seed must be >= 0"), err
+    assert not out.exists()
 
 
 def test_synth_refuses_non_finite_separation(tmp_path, capsys):

@@ -71,6 +71,15 @@ def test_config_validation():
     assert cfg.grids["RF"]["n_trees"] == (5, 9)
 
 
+@pytest.mark.parametrize("stage, value", [
+    ("smote", None), ("lof", None), ("smote", LofConfig()), ("lof", SmoteConfig()),
+], ids=["smote_none", "lof_none", "smote_lof_config", "lof_smote_config"])
+def test_config_refuses_a_stage_config_of_another_type(stage, value):
+    # with None, neither stage would run while the report listed both
+    with pytest.raises(ValueError, match=f"^{stage} must be a "):
+        ExperimentConfig(models=("KNN",), cv_folds=3, **{stage: value})
+
+
 def test_default_grids_cover_every_model():
     for learner in LEARNERS:
         assert learner.default_grid, learner.kind
@@ -268,6 +277,7 @@ def test_runs_in_process_inside_a_pool_worker(monkeypatch):
 def test_report_names_and_confusion_consistency():
     ds = small_data()
     report = run_full_experiment(small_config(), ds)
+    test_rows = report_to_dict(report)["split"]["test_rows"]
     assert tuple(t.track for t in report.tracks) == ("imbalanced", "balanced")
     for track in report.tracks:
         assert tuple(m.name for m in track.models) == ("rf", "knn")
@@ -275,8 +285,8 @@ def test_report_names_and_confusion_consistency():
             cm = m.test.confusion
             # headline accuracy must be recomputable from the stored matrix
             assert m.test.accuracy == (cm.tp + cm.tn) / cm.total
-            assert cm.total == report.split_info["test_rows"]
-            assert 0.0 <= m.mean_cv_accuracy <= 1.0
+            assert cm.total == test_rows
+            assert 0.0 <= m.search.mean_cv_accuracy <= 1.0
 
 
 def test_report_rerun_is_byte_identical():
@@ -290,8 +300,26 @@ def test_seed_changes_split_hash():
     ds = small_data()
     r0 = run_full_experiment(small_config(seed=0), ds)
     r1 = run_full_experiment(small_config(seed=1), ds)
-    assert r0.split_info["train_hash"] != r1.split_info["train_hash"]
-    assert r0.dataset_info["content_hash"] == r1.dataset_info["content_hash"]
+    d0, d1 = report_to_dict(r0), report_to_dict(r1)
+    assert d0["split"]["train_hash"] != d1["split"]["train_hash"]
+    assert d0["dataset"]["content_hash"] == d1["dataset"]["content_hash"]
+
+
+def test_generated_at_is_stamped_when_the_report_is_written(tmp_path, monkeypatch):
+    # SOURCE_DATE_EPOCH pins the stamp as the report is written, whenever the
+    # run was, so two runs write the same bytes; unpinned, there is no stamp
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    ds = small_data()
+    unpinned_run = run_full_experiment(small_config(), ds)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    pinned_run = run_full_experiment(small_config(), ds)
+    for out, report in (("a", unpinned_run), ("b", pinned_run)):
+        write_report_files(report, tmp_path / out)
+    text = (tmp_path / "a" / "report.json").read_bytes()
+    assert text == (tmp_path / "b" / "report.json").read_bytes()
+    assert json.loads(text)["generated_at"] == "2023-11-14T22:13:20+00:00"
+    monkeypatch.delenv("SOURCE_DATE_EPOCH")
+    assert report_to_dict(unpinned_run)["generated_at"] is None
 
 
 def test_report_json_structure():

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from flowguard.dataset import Dataset
+from flowguard.classifiers import train
+from flowguard.dataset import Dataset, stratified_split
 from flowguard.experiment import (ExperimentConfig, ExperimentReport, ModelResult,
-                                  TrackReport, fit_track_pipeline, write_report_files)
+                                  TrackReport, build_fold_datasets, fit_track_pipeline,
+                                  grid_search, write_report_files)
 from flowguard.metrics import (
     ConfusionMatrix,
     agreement_metrics,
@@ -170,16 +172,16 @@ def test_roc_curve_csv(tmp_path):
     # as the curve's exact points, CRLF line ends
     y, scores = np.array([1, 0, 1, 0]), np.array([0.9, 0.6, 0.4, 0.1])
     test, curve = evaluate_predictions(y, (scores >= 0.5).astype(int), scores)
-    model = ModelResult(name="m", kind="KNN", hyperparameters={},
-                        training_accuracy=1.0, mean_cv_accuracy=1.0, folds=(),
-                        test=test, roc=curve, grid_trace=(), model=None)
-    _, state = fit_track_pipeline(Dataset(feature_names=("x",), X=scores[:, None], y=y),
-                                  None, None)
+    ds = Dataset(feature_names=("x",), X=scores[:, None], y=y)
+    search = grid_search("KNN", {"k": (1,)}, build_fold_datasets(ds, 2, seed=0))
+    model = ModelResult(search=search, model=train(search.best_spec, ds),
+                        training_accuracy=1.0, test=test, roc=curve)
+    _, state = fit_track_pipeline(ds, None, None)
     track = TrackReport(track="balanced", train_rows=4, models=(model,), state=state)
-    write_report_files(ExperimentReport(config=ExperimentConfig(), dataset_info={},
-                                        split_info={}, tracks=(track,),
-                                        generated_at=None), tmp_path)
-    text = (tmp_path / "roc_m_balanced.csv").read_bytes().decode()
+    write_report_files(ExperimentReport(config=ExperimentConfig(), dataset=ds,
+                                        split=stratified_split(ds, 0.5, seed=0),
+                                        tracks=(track,)), tmp_path)
+    text = (tmp_path / "roc_knn_balanced.csv").read_bytes().decode()
     assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["fpr", "tpr"]

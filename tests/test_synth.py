@@ -33,7 +33,7 @@ def test_label_counts_and_names():
     ds = generate(SynthConfig(n_benign=70, n_ddos=30, n_features=22, seed=0))
     dist = label_distribution(ds)
     assert (dist.benign_count, dist.ddos_count) == (70, 30)
-    assert dist.total == 100
+    assert ds.n_rows == 100
     assert ds.feature_names[0] == "f00"
     assert len(ds.feature_names) == 22
     assert "benign=70" in ds.provenance
@@ -85,7 +85,7 @@ def test_imbalanced_corpus_shape():
     # and the floor-per-class 80/20 split sizes it implies
     ds = generate(SynthConfig(n_benign=63561, n_ddos=40784, n_features=4, seed=0))
     dist = label_distribution(ds)
-    assert dist.total == 104345
+    assert ds.n_rows == 104345
     split = stratified_split(ds, 0.8, seed=0)
     tr = label_distribution(split.train)
     assert (tr.benign_count, tr.ddos_count) == (50848, 32627)

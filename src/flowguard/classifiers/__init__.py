@@ -60,7 +60,7 @@ def train(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
         raise ValueError("training set is empty")
     X = np.ascontiguousarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.int64)
-    classes = np.unique(y)
+    classes = np.flatnonzero(np.bincount(y))  # np.unique(y) would import numpy.ma
     if len(classes) < 2 and spec.learner.needs_two_classes:
         raise ValueError(
             f"{spec.kind} cannot train on a single-class dataset (only class "

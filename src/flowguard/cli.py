@@ -124,8 +124,19 @@ def _build_experiment_config(args):
             fields[key] = tuple(t.strip() for t in value.split(",") if t.strip())
         else:
             fields[key] = value
-    return ExperimentConfig(smote=SmoteConfig(**stages["smote"]),
-                            lof=LofConfig(**stages["lof"]), **fields)
+    return ExperimentConfig(smote=_stage_config(SmoteConfig, "smote", stages["smote"]),
+                            lof=_stage_config(LofConfig, "lof", stages["lof"]), **fields)
+
+
+def _stage_config(cls, stage, values):
+    """``cls(**values)``; a value the stage refuses is named by its config key."""
+    for name, value in values.items():
+        try:
+            cls(**{name: value})
+        except ValueError as exc:
+            key = f"{stage}_{name}"
+            raise ValueError(f"bad value for {key!r}: {exc}") from exc
+    return cls(**values)
 
 
 def _load_dataset(args):

@@ -17,15 +17,16 @@ spec.seed + f that every fold model uses, with the largest value of the
 group; every value is scored from its staged predictions, which are exactly
 those of a model trained with that value alone. A group whose fit
 or scoring raises ValueError falls back to one fit per point, so each point
-succeeds or fails on its own. The search takes prebuilt folds
-(``build_fold_datasets``), so every model of a track is searched on one set
+succeeds or fails on its own. Every model of a track is searched on one set
 of fold pipelines.
 
-Given its track's folds, each (track, learner) search is independent of the
-others. With several learners and CPUs they run side by side in forked
-workers, one per learner and at most one per CPU of the affinity mask;
-otherwise, or under ``taskset -c 0``, in this process. Every search is
-seeded, so the report is the same either way (see ``_run_tracks``).
+A run is a list of units of work (see ``_run_tracks``): per track, one unit
+fits the track's pipeline and one per CV fold builds that fold and scores
+every learner's grid on it; once every winner is picked, one unit per
+(track, learner) trains and tests the winner. With two or more CPUs in the
+affinity mask the units run side by side in forked workers; otherwise, or
+under ``taskset -c 0``, in this process. Every unit is seeded, so the
+report is the same either way.
 
 Seed derivations (everything flows from cfg.seed unless noted):
   split                     cfg.seed
@@ -40,7 +41,9 @@ seed (see classifiers.svc).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -332,23 +335,27 @@ def _accuracy(pred, ds: Dataset) -> float:
     return float(np.mean(pred.labels == ds.y))
 
 
+def _build_fold(train: Dataset, f: int, val_idx, seed: int, smote_cfg, lof_cfg,
+                select_top_m):
+    """CV fold f's processed (training, validation) parts, its pipeline fitted
+    on its training rows alone: SMOTE under smote_cfg.seed + f + 1, feature
+    ranking under seed + f + 1."""
+    mask = np.ones(train.n_rows, dtype=bool)
+    mask[val_idx] = False
+    raw_tr = train.take(np.flatnonzero(mask))
+    raw_va = train.take(val_idx)
+    fold_smote = (None if smote_cfg is None
+                  else dataclasses.replace(smote_cfg, seed=smote_cfg.seed + f + 1))
+    proc_tr, state = fit_track_pipeline(raw_tr, fold_smote, lof_cfg, select_top_m,
+                                        select_seed=seed + f + 1)
+    return proc_tr, state.transform(raw_va)
+
+
 def build_fold_datasets(train: Dataset, n_folds: int, seed: int,
                         smote_cfg=None, lof_cfg=None, select_top_m=None):
     """Stratified CV folds with preprocessing fitted inside each fold."""
-    fold_val_indices = stratified_fold_indices(train.y, n_folds, seed)
-    folds = []
-    for f, val_idx in enumerate(fold_val_indices):
-        mask = np.ones(train.n_rows, dtype=bool)
-        mask[val_idx] = False
-        raw_tr = train.take(np.flatnonzero(mask))
-        raw_va = train.take(val_idx)
-        fold_smote = (None if smote_cfg is None
-                      else dataclasses.replace(smote_cfg, seed=smote_cfg.seed + f + 1))
-        proc_tr, state = fit_track_pipeline(raw_tr, fold_smote, lof_cfg,
-                                            select_top_m, select_seed=seed + f + 1)
-        proc_va = state.transform(raw_va)
-        folds.append((proc_tr, proc_va))
-    return folds
+    return [_build_fold(train, f, val_idx, seed, smote_cfg, lof_cfg, select_top_m)
+            for f, val_idx in enumerate(stratified_fold_indices(train.y, n_folds, seed))]
 
 
 def _stage_accuracies(model, ds: Dataset, values) -> dict:
@@ -360,9 +367,10 @@ def _stage_accuracies(model, ds: Dataset, values) -> dict:
     return {value: _accuracy(pred, ds) for value, pred in predictions.items()}
 
 
-def _cross_validate(specs, fold_datasets) -> list:
+def _cross_validate(specs, folds) -> list:
     """One tuple of FoldResults per spec, for specs that differ at most in
-    the staged hyperparameter of their kind.
+    the staged hyperparameter of their kind, on ``folds``: (f, training,
+    validation) triples.
 
     The fold-f model trains once, under seed spec.seed + f, with the largest
     staged value among the specs; every spec is scored from its staged
@@ -372,7 +380,7 @@ def _cross_validate(specs, fold_datasets) -> list:
     values = [s.hyperparameters[stage] if stage else None for s in specs]
     top = specs[values.index(max(values))] if stage else specs[0]
     per_spec = [[] for _ in specs]
-    for f, (proc_tr, proc_va) in enumerate(fold_datasets):
+    for f, proc_tr, proc_va in folds:
         model = clf.train(top.with_seed(top.seed + f), proc_tr)
         train_acc = _stage_accuracies(model, proc_tr, values)
         val_acc = _stage_accuracies(model, proc_va, values)
@@ -405,36 +413,50 @@ def _stage_groups(points, stage) -> list:
     return [members for _, members in groups]
 
 
-def grid_search(kind: str, grid: dict, fold_datasets,
-                seed: int = 0) -> GridSearchOutcome:
-    """Exhaustive grid evaluation by CV accuracy.
-
-    Highest mean validation accuracy wins; exact ties keep the combination
-    listed first. Combinations that cannot train (the learner raises
-    ValueError) are skipped with a logged warning; any other exception is a
-    bug and propagates. If every combination fails, the search raises.
-    Points that differ only in the staged hyperparameter share their fits
-    (see the module docstring); the outcome is the same as fitting each.
-    """
+def _grid_points(kind: str, grid: dict, seed: int):
+    """A learner's grid points in ``expand_grid`` order, their specs under
+    ``seed``, and their stage groups."""
     points = expand_grid(grid)
     specs = [clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
              for params in points]
+    return points, specs, _stage_groups(points, clf.learner(kind).staged_hyperparameter)
+
+
+def _score_points(kind: str, grid: dict, seed: int, folds) -> list:
+    """Per grid point, its FoldResults on ``folds`` or, if it cannot train
+    (the learner raises ValueError), the error text. A stage group shares
+    its fits, fold by fold; if that raises ValueError, each member is
+    retried alone. Any other exception is a bug and propagates."""
+    _, specs, groups = _grid_points(kind, grid, seed)
 
     def cross_validate(members):
-        """The FoldResults, or why the point failed, per member point."""
         try:
-            return _cross_validate([specs[i] for i in members], fold_datasets)
+            return _cross_validate([specs[i] for i in members], folds)
         except ValueError as exc:
             if len(members) > 1:  # retry each point alone
                 return [r for i in members for r in cross_validate([i])]
-            logger.warning("grid combination %s %s failed: %s", kind,
-                           points[members[0]], exc)
             return [str(exc)]
 
-    results = [None] * len(points)
-    for members in _stage_groups(points, clf.learner(kind).staged_hyperparameter):
+    results = [None] * len(specs)
+    for members in groups:
         for i, result in zip(members, cross_validate(members)):
             results[i] = result
+    return results
+
+
+def _pick(kind: str, grid: dict, seed: int, results) -> GridSearchOutcome:
+    """The search outcome from each grid point's FoldResults or error text.
+
+    Highest mean validation accuracy wins; exact ties keep the point listed
+    first. Each failed point is logged as a warning, group by group; if
+    every point failed, ValueError.
+    """
+    points, specs, groups = _grid_points(kind, grid, seed)
+    for members in groups:
+        for i in members:
+            if isinstance(results[i], str):
+                logger.warning("grid combination %s %s failed: %s", kind, points[i],
+                               results[i])
     best = None
     trace = []
     for params, spec, folds in zip(points, specs, results):
@@ -453,30 +475,58 @@ def grid_search(kind: str, grid: dict, fold_datasets,
                              trace=tuple(trace))
 
 
-def _prepare_track(track: str, split: SplitPair, cfg: ExperimentConfig):
-    """A track's fitted pipeline, processed partitions and CV folds."""
-    if track not in TRACKS:
-        raise ValueError(f"unknown track {track!r}")
-    smote_cfg = cfg.smote if track == "balanced" else None
+def grid_search(kind: str, grid: dict, fold_datasets,
+                seed: int = 0) -> GridSearchOutcome:
+    """Exhaustive grid evaluation by CV accuracy.
+
+    Highest mean validation accuracy wins; exact ties keep the combination
+    listed first. Combinations that cannot train (the learner raises
+    ValueError) are skipped with a logged warning; any other exception is a
+    bug and propagates. If every combination fails, the search raises.
+    Points that differ only in the staged hyperparameter share their fits
+    (see the module docstring); the outcome is the same as fitting each.
+    """
+    folds = [(f, proc_tr, proc_va) for f, (proc_tr, proc_va) in enumerate(fold_datasets)]
+    return _pick(kind, grid, seed, _score_points(kind, grid, seed, folds))
+
+
+def _fit_track(split: SplitPair, smote_cfg, cfg: ExperimentConfig):
+    """Unit (track, full): the track's pipeline fitted on the training
+    partition, and the processed training and test partitions."""
     proc_train, state = fit_track_pipeline(split.train, smote_cfg, cfg.lof,
                                            cfg.select_top_m, select_seed=cfg.seed)
     proc_test = state.transform(split.test)
     if proc_test.n_rows != split.test.n_rows or not np.array_equal(proc_test.y,
                                                                    split.test.y):
         raise AssertionError("test partition must pass through unmodified")
-    fold_datasets = build_fold_datasets(split.train, cfg.cv_folds, cfg.seed,
-                                        smote_cfg=smote_cfg, lof_cfg=cfg.lof,
-                                        select_top_m=cfg.select_top_m)
-    return proc_train, proc_test, state, fold_datasets
+    return proc_train, proc_test, state
 
 
-def _search_model(kind, grid, fold_datasets, proc_train, proc_test,
-                  seed) -> ModelResult:
-    """Grid-search one learner on a track's folds, retrain the winner under
-    ``seed`` on the processed training partition and score it on the test
-    partition."""
-    search = grid_search(kind, grid, fold_datasets=fold_datasets, seed=seed)
-    model = clf.train(search.best_spec, proc_train)  # best_spec carries ``seed``
+def _search_fold(train: Dataset, f: int, val_idx, smote_cfg,
+                 cfg: ExperimentConfig) -> list:
+    """Unit (track, fold f): build fold f, then score every learner's grid on
+    it. Per learner, per grid point: a 1-tuple of FoldResult, or the error."""
+    proc_tr, proc_va = _build_fold(train, f, val_idx, cfg.seed, smote_cfg, cfg.lof,
+                                   cfg.select_top_m)
+    return [_score_points(kind, cfg.grids[kind], cfg.seed, [(f, proc_tr, proc_va)])
+            for kind in cfg.models]
+
+
+def _merge_folds(per_fold) -> list:
+    """Per grid point, from its results on each fold in turn: its FoldResults
+    in fold order, or the error of the first fold it failed on."""
+    merged = []
+    for results in zip(*per_fold):
+        errors = [r for r in results if isinstance(r, str)]
+        merged.append(errors[0] if errors else sum(results, ()))
+    return merged
+
+
+def _fit_winner(search: GridSearchOutcome, proc_train: Dataset,
+                proc_test: Dataset) -> ModelResult:
+    """Unit (track, learner): retrain a search's winner on the processed
+    training partition and score it on the test partition."""
+    model = clf.train(search.best_spec, proc_train)  # best_spec carries the run seed
     training_accuracy = _accuracy(clf.predict(model, proc_train), proc_train)
     test_pred = clf.predict(model, proc_test)
     test_report, roc = evaluate_predictions(proc_test.y, test_pred.labels,
@@ -493,65 +543,88 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_JOBS = ()  # the searches of a pool worker, set in each worker as it starts
+_INHERITED = ()  # in a pool worker: the units it was forked with
 
 
-def _set_jobs(jobs):
-    global _JOBS
-    _JOBS = jobs
+def _inherit(units):
+    global _INHERITED
+    _INHERITED = units
 
 
-def _run_job(i) -> ModelResult:
-    return _search_model(*_JOBS[i])
+def _run_inherited(i):
+    return _INHERITED[i]()
 
 
-def _search_all(jobs, processes) -> list:
-    """``_search_model`` of every job, in job order: in this process, or on a
-    pool of two or more ``processes`` forked workers, which inherit the jobs'
-    datasets instead of receiving them pickled. An exception in a worker
-    reaches the caller with its type, and no worker outlives the call.
+def _call(unit):
+    return unit()
+
+
+@contextlib.contextmanager
+def _run_units(units):
+    """Run ``units``; yield their results, in unit order, and ``run``, which
+    runs a later list of units the same way and returns its results.
+
+    The units run on a pool of forked workers, one per unit and at most one
+    per usable CPU, or here in list order: with one CPU or unit, without
+    fork, or inside a pool worker. Each worker inherits ``units``, so their
+    inputs are not pickled; a later list reaches the workers pickled. An
+    exception in a worker reaches the caller with its type. Leaving the
+    block terminates the pool and joins every worker.
     """
-    if processes < 2:
-        return [_search_model(*job) for job in jobs]
-    import multiprocessing
-    # Leaving the block terminates the pool and joins every worker.
-    with multiprocessing.get_context("fork").Pool(
-            processes, initializer=_set_jobs, initargs=(jobs,)) as pool:
-        return pool.map(_run_job, range(len(jobs)), chunksize=1)
-
-
-def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
-    """Run every enabled model on each track.
-
-    The searches run on a pool of forked workers, one per learner and at
-    most one per usable CPU; with one of either, without fork, or inside a
-    pool worker they run in this process. Every search is seeded, so the
-    results are the same either way. With a pool, every track is prepared
-    first and the (track, learner) searches run as one batch, listed learner
-    by learner: the tracks' searches of one learner cost about the same, so
-    on two CPUs they are handed out, and end, together. In this process the
-    tracks run one at a time, so that a track's folds are freed before the
-    next track's are built (pool workers must inherit every track's folds at
-    once).
-    """
-    processes = min(len(cfg.models), _usable_cpus())
+    processes = min(len(units), _usable_cpus())
     if processes > 1:
-        # Imported here, so that runs that search in-process do not pay for
-        # it: about 1 MB of resident memory and 10 ms of set-up.
+        # Imported here, so that runs on one CPU do not pay for it: about
+        # 1 MB of resident memory and 5 ms of set-up.
         import multiprocessing
         if (multiprocessing.current_process().daemon
                 or "fork" not in multiprocessing.get_all_start_methods()):
             processes = 1
-    if processes < 2 and len(tracks) > 1:
-        return tuple(_run_tracks((track,), split, cfg)[0] for track in tracks)
-    prepared = [_prepare_track(track, split, cfg) for track in tracks]
-    jobs = [(kind, cfg.grids[kind], fold_datasets, proc_train, proc_test, cfg.seed)
-            for kind in cfg.models
-            for proc_train, proc_test, _, fold_datasets in prepared]
-    results = _search_all(jobs, processes)
+    if processes < 2:
+        yield [unit() for unit in units], lambda later: [unit() for unit in later]
+        return
+    with multiprocessing.get_context("fork").Pool(
+            processes, initializer=_inherit, initargs=(units,)) as pool:
+        yield (pool.map(_run_inherited, range(len(units)), chunksize=1),
+               lambda later: pool.map(_call, later, chunksize=1))
+
+
+def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
+    """Run every enabled model on each track, as units of work.
+
+    Phase 1 lists one (track, fold f) unit per track and CV fold
+    (``_search_fold``), then one (track, full) unit per track
+    (``_fit_track``): those carry no learner work, so listed last they keep
+    the pool's tail short. Each learner's winner is then picked here, as
+    ``grid_search`` picks it, track by track. Phase 2 lists one (track,
+    learner) unit per winner (``_fit_winner``), learner by learner: the
+    tracks' final fits of one learner cost about the same, so on two CPUs
+    they are handed out, and end, together. Both phases run on one pool
+    (``_run_units``), or here in list order; each unit is seeded, so the
+    results are the same either way. A fold's datasets live only inside
+    its unit.
+    """
+    for track in tracks:
+        if track not in TRACKS:
+            raise ValueError(f"unknown track {track!r}")
+    fold_indices = stratified_fold_indices(split.train.y, cfg.cv_folds, cfg.seed)
+    smote = [cfg.smote if track == "balanced" else None for track in tracks]
+    units = [functools.partial(_search_fold, split.train, f, val_idx, smote_cfg, cfg)
+             for smote_cfg in smote for f, val_idx in enumerate(fold_indices)]
+    units += [functools.partial(_fit_track, split, smote_cfg, cfg) for smote_cfg in smote]
+    n_folds = len(fold_indices)
+    with _run_units(units) as (done, run):
+        prepared = done[len(tracks) * n_folds:]
+        searches = []  # per track, per learner
+        for t in range(len(tracks)):
+            per_fold = done[t * n_folds:(t + 1) * n_folds]
+            searches.append([_pick(kind, cfg.grids[kind], cfg.seed,
+                                   _merge_folds([results[k] for results in per_fold]))
+                             for k, kind in enumerate(cfg.models)])
+        finals = run([functools.partial(_fit_winner, searches[t][k], *prepared[t][:2])
+                      for k in range(len(cfg.models)) for t in range(len(tracks))])
     return tuple(TrackReport(track=track, train_rows=proc_train.n_rows,
-                             models=tuple(results[t::len(tracks)]), state=state)
-                 for t, (track, (proc_train, _, state, _))
+                             models=tuple(finals[t::len(tracks)]), state=state)
+                 for t, (track, (proc_train, _, state))
                  in enumerate(zip(tracks, prepared)))
 
 

@@ -697,20 +697,38 @@ def test_config_accepts_integral_numbers(tmp_path):
     assert type(got["cv_folds"]) is int and type(got["split_ratio"]) is float
 
 
-@pytest.mark.parametrize("stage, argv", [
-    ("config", ["run", "--data", "{corpus}", "--seed", "-1"]),
-    ("config", ["run", "--data", "{corpus}", "--config", "{config}"]),
-    ("synth", ["synth", "--seed", "-1"]),
-    ("load", ["run", "--synth", "n=60,seed=-1"]),
+@pytest.mark.parametrize("stage, argv, key", [
+    ("config", ["run", "--data", "{corpus}", "--seed", "-1"], None),
+    ("config", ["run", "--data", "{corpus}", "--config", "{config}"], "smote_seed"),
+    ("synth", ["synth", "--seed", "-1"], None),
+    ("load", ["run", "--synth", "n=60,seed=-1"], None),
 ], ids=["run_seed", "config_smote_seed", "synth_seed", "run_synth_seed"])
-def test_negative_seed_is_refused_by_its_config(corpus, tmp_path, capsys, stage, argv):
+def test_negative_seed_is_refused_by_its_config(corpus, tmp_path, capsys, stage, argv,
+                                                key):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"smote_seed": -2}))
     out = tmp_path / "out"
     argv = [arg.format(corpus=corpus, config=config) for arg in argv]
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error[{stage}]: seed must be >= 0"), err
+    named = "" if key is None else f"bad value for {key!r}: "
+    assert err.startswith(f"error[{stage}]: {named}seed must be >= 0"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lof_k_neighbors", 0, "k_neighbors must be >= 1"),
+    ("smote_k_neighbors", 0, "k_neighbors must be >= 1"),
+    ("smote_seed", -2, "seed must be >= 0, got -2"),
+])
+def test_stage_config_errors_name_their_key(corpus, tmp_path, capsys, key, value,
+                                            message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(corpus), "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error[config]: bad value for {key!r}: {message}\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import multiprocessing
 import os
 
@@ -11,7 +12,7 @@ import pytest
 from flowguard import classifiers, experiment
 from flowguard.cli import _save_track_models
 from flowguard.dataset import (Dataset, content_hash, encode_categoricals,
-                               load_csv, stratified_split)
+                               load_csv, stratified_fold_indices, stratified_split)
 from flowguard.experiment import (
     ExperimentConfig,
     PipelineState,
@@ -205,34 +206,82 @@ def test_run_track_leaves_test_partition_untouched():
     assert bal.train_rows >= imbal.train_rows
 
 
-def test_pool_gives_the_outputs_of_the_in_process_run(tmp_path, monkeypatch):
-    ds = small_data()
-    cfg = small_config(models=("RF", "KNN", "GBT"),
-                       grids={**SMALL_GRIDS, "GBT": {"rounds": (5, 10)}})
-    pids = tmp_path / "pids"
-    train = classifiers.train
+_TRAIN = classifiers.train
+
+
+def _outputs_and_trainers(cfg, ds, cpus, out, monkeypatch):
+    """The files a run on ``cpus`` CPUs writes (report, plots and bundles),
+    and the pids of the processes that trained its models."""
+    pids = out.with_name(f"{out.name}.pids")
+    pids.write_text("", encoding="utf-8")
 
     def recorded_train(spec, data):
         with open(pids, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return train(spec, data)
+        return _TRAIN(spec, data)
 
     monkeypatch.setattr(classifiers, "train", recorded_train)
-    outputs = {}
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    report = run_full_experiment(cfg, ds)
+    write_report_files(report, out)
+    _save_track_models(report, out, "label")
+    assert multiprocessing.active_children() == []
+    return ({p.name: p.read_bytes() for p in sorted(out.iterdir())},
+            set(pids.read_text(encoding="utf-8").split()))
+
+
+def test_pool_gives_the_outputs_of_the_in_process_run(tmp_path, monkeypatch):
+    ds = small_data()
+    cfg = small_config(models=("RF", "KNN", "GBT"),
+                       grids={**SMALL_GRIDS, "GBT": {"rounds": (5, 10)}})
+    outputs, trainers = {}, {}
     for cpus in (1, 2):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-        pids.write_text("", encoding="utf-8")
-        report = run_full_experiment(cfg, ds)
-        out = tmp_path / f"cpus{cpus}"
-        write_report_files(report, out)
-        _save_track_models(report, out, "label")
-        trainers = set(pids.read_text(encoding="utf-8").split())
-        # one CPU trains in this process; two train in pool workers only
-        assert (trainers == {str(os.getpid())}) == (cpus == 1), trainers
-        assert multiprocessing.active_children() == []
-        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs[cpus], trainers[cpus] = _outputs_and_trainers(
+            cfg, ds, cpus, tmp_path / f"cpus{cpus}", monkeypatch)
+    # one CPU trains in this process; two train in pool workers only
+    assert trainers[1] == {str(os.getpid())}
+    assert trainers[2] and str(os.getpid()) not in trainers[2]
     assert len(outputs[1]) == 1 + 2 * 3 * 4  # report; 3 plots + 1 bundle each
     assert outputs[2] == outputs[1]
+
+
+def test_one_learner_runs_on_the_pool(tmp_path, monkeypatch):
+    ds, cfg = small_data(), small_config(models=("KNN",))
+    outputs, trainers = {}, {}
+    for cpus in (1, 2):
+        outputs[cpus], trainers[cpus] = _outputs_and_trainers(
+            cfg, ds, cpus, tmp_path / f"cpus{cpus}", monkeypatch)
+    assert trainers[1] == {str(os.getpid())}
+    assert trainers[2] and str(os.getpid()) not in trainers[2]
+    assert len(outputs[1]) == 1 + 2 * 1 * 4  # report; 3 plots + 1 bundle each
+    assert outputs[2] == outputs[1]
+
+
+def test_each_track_picks_its_winners_as_grid_search_does(monkeypatch, caplog):
+    ds = small_data()
+    cfg = small_config(models=("KNN",))
+    split = stratified_split(ds, cfg.split_ratio, cfg.seed)
+    folds = build_fold_datasets(split.train, cfg.cv_folds, cfg.seed,
+                                smote_cfg=cfg.smote, lof_cfg=cfg.lof)
+    sizes = [proc_tr.n_rows for proc_tr, _ in folds]
+    assert len(set(sizes)) > 1
+    # k=max(sizes) trains on the largest fold only; 5000 on none
+    grid = {"k": (3, max(sizes), 5000)}
+    with caplog.at_level(logging.WARNING, logger="flowguard.experiment"):
+        want = grid_search("KNN", grid, fold_datasets=folds, seed=cfg.seed)
+    warnings = list(caplog.messages)
+    assert [p.error is None for p in want.trace] == [True, False, False]
+    assert len(warnings) == 2
+    cfg = small_config(models=("KNN",), grids={"KNN": grid})
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="flowguard.experiment"):
+            got = run_track("balanced", split, cfg).models[0].search
+        assert got == want
+        assert [p.error for p in got.trace] == [p.error for p in want.trace]
+        assert caplog.messages == warnings  # logged here, by the run's process
+        assert multiprocessing.active_children() == []
 
 
 def test_pool_worker_errors_keep_their_type(monkeypatch):
@@ -435,11 +484,13 @@ def test_without_fork_each_track_is_searched_before_the_next_is_prepared(
     ds, cfg = small_data(), small_config()
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     events = []
-    prepare, search = experiment._prepare_track, experiment._search_model
-    monkeypatch.setattr(experiment, "_prepare_track",
-                        lambda track, *a: events.append(track) or prepare(track, *a))
-    monkeypatch.setattr(experiment, "_search_model",
-                        lambda *job: events.append(job[0]) or search(*job))
+    fit = experiment.fit_track_pipeline
+
+    def recorded_fit(train, smote_cfg, *args, **kwargs):
+        events.append(("balanced" if smote_cfg else "imbalanced", train.n_rows))
+        return fit(train, smote_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_track_pipeline", recorded_fit)
     outputs, seen = {}, {}
     for fork in (True, False):
         methods = multiprocessing.get_all_start_methods() if fork else ["spawn"]
@@ -452,9 +503,15 @@ def test_without_fork_each_track_is_searched_before_the_next_is_prepared(
         outputs[fork] = {p.name: p.read_bytes() for p in out.iterdir()}
         seen[fork] = list(events)
         assert multiprocessing.active_children() == []
-    # with fork both tracks are prepared here and searched in pool workers;
-    # without it every search runs here, a track's before the next is prepared
-    assert seen[True] == ["imbalanced", "balanced"]
-    assert seen[False] == ["imbalanced", "RF", "KNN", "balanced", "RF", "KNN"]
+    # with fork every pipeline is fitted in a pool worker; without it the
+    # units run here in list order, each fold built once: every fold of
+    # each track in turn, then each track's full training partition
+    split = stratified_split(ds, cfg.split_ratio, cfg.seed)
+    n = split.train.n_rows
+    fold_rows = [n - len(val_idx) for val_idx
+                 in stratified_fold_indices(split.train.y, cfg.cv_folds, cfg.seed)]
+    assert seen[True] == []
+    assert seen[False] == ([(track, rows) for track in cfg.tracks for rows in fold_rows]
+                           + [(track, n) for track in cfg.tracks])
     assert len(outputs[False]) == 1 + 2 * 2 * 4  # report; 3 plots + 1 bundle each
     assert outputs[False] == outputs[True]

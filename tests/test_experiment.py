@@ -209,52 +209,45 @@ def test_run_track_leaves_test_partition_untouched():
 _TRAIN = classifiers.train
 
 
-def _outputs_and_trainers(cfg, ds, cpus, out, monkeypatch):
-    """The files a run on ``cpus`` CPUs writes (report, plots and bundles),
-    and the pids of the processes that trained its models."""
-    pids = out.with_name(f"{out.name}.pids")
-    pids.write_text("", encoding="utf-8")
+def _assert_pool_gives_the_one_cpu_outputs(cfg, ds, tmp_path, monkeypatch):
+    """One CPU trains every model in this process, two train them in pool
+    workers only, and both runs write the same report, plots and bundles."""
+    outputs = {}
+    for cpus in (1, 2):
+        pids, out = tmp_path / f"cpus{cpus}.pids", tmp_path / f"cpus{cpus}"
+        pids.write_text("", encoding="utf-8")
 
-    def recorded_train(spec, data):
-        with open(pids, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return _TRAIN(spec, data)
+        def recorded_train(spec, data, pids=pids):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return _TRAIN(spec, data)
 
-    monkeypatch.setattr(classifiers, "train", recorded_train)
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-    report = run_full_experiment(cfg, ds)
-    write_report_files(report, out)
-    _save_track_models(report, out, "label")
-    assert multiprocessing.active_children() == []
-    return ({p.name: p.read_bytes() for p in sorted(out.iterdir())},
-            set(pids.read_text(encoding="utf-8").split()))
+        monkeypatch.setattr(classifiers, "train", recorded_train)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        report = run_full_experiment(cfg, ds)
+        write_report_files(report, out)
+        _save_track_models(report, out, "label")
+        trainers = set(pids.read_text(encoding="utf-8").split())
+        if cpus == 1:
+            assert trainers == {str(os.getpid())}
+        else:
+            assert trainers and str(os.getpid()) not in trainers
+        assert multiprocessing.active_children() == []
+        outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    # report; 3 plots + 1 bundle per model and track
+    assert len(outputs[1]) == 1 + len(cfg.tracks) * len(cfg.models) * 4
+    assert outputs[2] == outputs[1]
 
 
 def test_pool_gives_the_outputs_of_the_in_process_run(tmp_path, monkeypatch):
-    ds = small_data()
     cfg = small_config(models=("RF", "KNN", "GBT"),
                        grids={**SMALL_GRIDS, "GBT": {"rounds": (5, 10)}})
-    outputs, trainers = {}, {}
-    for cpus in (1, 2):
-        outputs[cpus], trainers[cpus] = _outputs_and_trainers(
-            cfg, ds, cpus, tmp_path / f"cpus{cpus}", monkeypatch)
-    # one CPU trains in this process; two train in pool workers only
-    assert trainers[1] == {str(os.getpid())}
-    assert trainers[2] and str(os.getpid()) not in trainers[2]
-    assert len(outputs[1]) == 1 + 2 * 3 * 4  # report; 3 plots + 1 bundle each
-    assert outputs[2] == outputs[1]
+    _assert_pool_gives_the_one_cpu_outputs(cfg, small_data(), tmp_path, monkeypatch)
 
 
 def test_one_learner_runs_on_the_pool(tmp_path, monkeypatch):
-    ds, cfg = small_data(), small_config(models=("KNN",))
-    outputs, trainers = {}, {}
-    for cpus in (1, 2):
-        outputs[cpus], trainers[cpus] = _outputs_and_trainers(
-            cfg, ds, cpus, tmp_path / f"cpus{cpus}", monkeypatch)
-    assert trainers[1] == {str(os.getpid())}
-    assert trainers[2] and str(os.getpid()) not in trainers[2]
-    assert len(outputs[1]) == 1 + 2 * 1 * 4  # report; 3 plots + 1 bundle each
-    assert outputs[2] == outputs[1]
+    cfg = small_config(models=("KNN",))
+    _assert_pool_gives_the_one_cpu_outputs(cfg, small_data(), tmp_path, monkeypatch)
 
 
 def test_each_track_picks_its_winners_as_grid_search_does(monkeypatch, caplog):

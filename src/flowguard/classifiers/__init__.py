@@ -12,8 +12,11 @@ hyperparameter and implement ``staged_predict_sets``; SVC and MLP implement
 ``predict_proba``. ``TrainedModel`` derives ``predict_set`` and
 ``predict_proba`` from that one method.
 
-``train`` fits the learner of ModelSpec.kind; ``predict`` returns hard
-labels and class-1 probabilities with the decision threshold fixed at 0.5.
+``train`` fits the learner of ModelSpec.kind; ``train_without_loss_curve``
+fits it for a model that is scored and dropped, such as a CV fold's, and
+skips the per-round training loss of a learner that records one.
+``predict`` returns hard labels and class-1 probabilities with the decision
+threshold fixed at 0.5.
 """
 
 from __future__ import annotations
@@ -54,6 +57,22 @@ def train(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
     A training set containing a single class raises for a learner that
     ``needs_two_classes``; the others simply become constant predictors.
     """
+    return spec.learner.fit(spec, *_training_arrays(spec, dataset))
+
+
+def train_without_loss_curve(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
+    """``train``, except that a learner with a ``loss_curve`` state field
+    does not compute it: the model's ``loss_curve`` is None. Its other
+    state, and so its predictions, are those ``train`` gives."""
+    X, y = _training_arrays(spec, dataset)
+    if "loss_curve" in spec.learner.state_fields:
+        return spec.learner.fit(spec, X, y, record_loss=False)
+    return spec.learner.fit(spec, X, y)
+
+
+def _training_arrays(spec: ModelSpec, dataset: Dataset):
+    """The dataset's X and y as ``fit`` takes them; ValueError if it cannot
+    train the spec's learner."""
     if not dataset.is_numeric:
         raise ValueError("training requires a numeric (encoded) dataset")
     if dataset.n_rows == 0:
@@ -65,7 +84,7 @@ def train(spec: ModelSpec, dataset: Dataset) -> TrainedModel:
         raise ValueError(
             f"{spec.kind} cannot train on a single-class dataset (only class "
             f"{int(classes[0])} present)")
-    return spec.learner.fit(spec, X, y)
+    return X, y
 
 
 def predict(model: TrainedModel, dataset: Dataset) -> PredictionSet:
@@ -78,4 +97,5 @@ def predict(model: TrainedModel, dataset: Dataset) -> PredictionSet:
 __all__ = [
     "LEARNERS", "MODEL_KINDS", "ModelSpec", "gradient_check", "learner",
     "load_model", "make_spec", "predict", "read_json", "save_model", "train",
+    "train_without_loss_curve",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import TrainedModel, mean_log_loss, sigmoid, thresholded
-from .tree import build_newton_tree, presort, tree_apply, trees_from_state
+from .tree import NodeLayouts, build_newton_tree, tree_apply, trees_from_state
 
 
 class GradientBoostedTreesModel(TrainedModel):
@@ -15,9 +15,11 @@ class GradientBoostedTreesModel(TrainedModel):
     hessians h = p(1 - p); leaf weights are the damped Newton step
     -G / (H + lambda) scaled by the learning rate. Split search is
     exhaustive, so training consumes no randomness. ``loss_curve`` holds the
-    mean training loss before boosting and after every round. Round r
-    depends only on rounds before it, so the first m trees are the model
-    trained with ``rounds=m``.
+    mean training loss before boosting and after every round (None if fitted
+    with ``record_loss=False``). Round r depends only on rounds before it,
+    so the first m trees are the model trained with ``rounds=m``. Each node
+    layout of a fit is built once and kept for its later rounds
+    (``tree.NodeLayouts``).
     """
 
     kind = "GBT"
@@ -30,24 +32,25 @@ class GradientBoostedTreesModel(TrainedModel):
     state_fields = ("trees", "loss_curve")
 
     @classmethod
-    def fit(cls, spec, X, y):
+    def fit(cls, spec, X, y, record_loss=True):
         hp = spec.hyperparameters
         eta = hp["learning_rate"]
         lam = hp["reg_lambda"]
         yf = y.astype(np.float64)
         scores = np.zeros(X.shape[0], dtype=np.float64)
-        loss_curve = [mean_log_loss(scores, yf)]
+        loss_curve = [mean_log_loss(scores, yf)] if record_loss else None
         trees = []
-        order = presort(X)
+        layouts = NodeLayouts(X)
         for _ in range(hp["rounds"]):
             p = sigmoid(scores)
             g = p - yf
             h = p * (1.0 - p)
             tree, fitted = build_newton_tree(X, g, h, max_depth=hp["depth"],
-                                             reg_lambda=lam, order=order)
+                                             reg_lambda=lam, layouts=layouts)
             trees.append(tree)
             scores += eta * fitted
-            loss_curve.append(mean_log_loss(scores, yf))
+            if record_loss:
+                loss_curve.append(mean_log_loss(scores, yf))
         return cls(spec, X.shape[1], trees=trees, loss_curve=loss_curve)
 
     def staged_predict_sets(self, X, values):

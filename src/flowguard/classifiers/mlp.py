@@ -79,7 +79,10 @@ class MlpModel(TrainedModel):
             raise ValueError("MLP hidden layer sizes must be >= 1")
 
     @classmethod
-    def fit(cls, spec, X, y):
+    def fit(cls, spec, X, y, record_loss=True):
+        """The trained network; ``loss_curve`` holds the mean training loss
+        before the first epoch and after each (None if ``record_loss`` is
+        False)."""
         hp = spec.hyperparameters
         n, d = X.shape
         sizes = [d, *hp["hidden_sizes"], 1]
@@ -91,7 +94,7 @@ class MlpModel(TrainedModel):
         mu = hp["momentum"]
         batch = hp["batch_size"]
 
-        loss_curve = [bce_loss(weights, biases, X, y)]
+        loss_curve = [bce_loss(weights, biases, X, y)] if record_loss else None
         for _ in range(hp["epochs"]):
             perm = rng.permutation(n)
             for start in range(0, n, batch):
@@ -102,7 +105,8 @@ class MlpModel(TrainedModel):
                     vel_b[i] = mu * vel_b[i] - lr * grad_b[i]
                     weights[i] = weights[i] + vel_w[i]
                     biases[i] = biases[i] + vel_b[i]
-            loss_curve.append(bce_loss(weights, biases, X, y))
+            if record_loss:
+                loss_curve.append(bce_loss(weights, biases, X, y))
         return cls(spec, d, weights=weights, biases=biases, loss_curve=loss_curve)
 
     def predict_proba(self, X):

@@ -6,15 +6,23 @@ splits each internal node's own rows with one gather and compare, and
 serialization is a dict of lists with no recursion anywhere. Every child
 comes after its parent in the arrays, so routing always reaches a leaf.
 
-Split search sorts each column once per tree (once per boosting fit, where X
-never changes) and never at a node. A node's per-feature row order is its
-parent's, filtered by the side of the split each row falls on; filtering
-keeps order. This relies on one invariant: a node's ``idx`` is ascending,
-as every child's is, being a boolean selection from its parent's. So within
-a node equal values stay in ascending row order, the order a stable sort of
-the node's rows would give, and cumulative sums, node sums over ``idx`` and
-tie-breaks all run as they would with per-node sorting. One kernel scores
-every candidate feature of a node in a single (features x rows) block.
+Split search sorts each column once per tree and never at a node. A node's
+per-feature row order is its parent's, filtered by the side of the split
+each row falls on; filtering keeps order. This relies on one invariant: a
+node's ``idx`` is ascending, as every child's is, being a boolean selection
+from its parent's. So within a node equal values stay in ascending row
+order, the order a stable sort of the node's rows would give, and
+cumulative sums, node sums over ``idx`` and tie-breaks all run as they would
+with per-node sorting. One kernel scores every candidate feature of a node
+in a single (features x rows) block.
+
+A boosting fit, where X never changes, goes further: ``NodeLayouts`` keeps
+each node's layout (its rows, their order by each feature and its
+boundaries between distinct values) under the node's path of splits from
+the root. The root's layout is built once per fit, and a child's once
+per distinct split path, however many rounds split the same way. The store
+is capped at ``_STORE_BYTES``, dropping the layouts used least recently,
+so a fit on many rows holds a few megabytes of layouts besides its root's.
 """
 
 from __future__ import annotations
@@ -137,33 +145,28 @@ def _best_split(X, rows, cand, gain):
     return int(cand[f]), float(0.5 * (xs[f, j] + xs[f, j + 1])), float(top[f])
 
 
-def _grow(X, order, split_node) -> TreeNodes:
-    """Grow a tree depth-first from the root, whose rows are all of X.
+def _grow(root, split_node, children) -> TreeNodes:
+    """Grow a tree depth-first from the node ``root``.
 
-    ``split_node(idx, rows, depth)`` returns the node's value and its split
-    ``(feature, threshold)``, or None for a leaf; ``idx`` lists the node's
-    rows ascending and ``rows`` (d, len(idx)) lists them by ascending value
-    of each feature. A child's ``rows`` is its parent's filtered by the side
-    each row falls on, so no node sorts.
+    ``split_node(node, depth)`` returns the node's value and its split
+    ``(feature, threshold)``, or None for a leaf; ``children(node, depth,
+    feature, threshold)`` returns its (left, right) nodes.
     """
-    d = order.shape[0]
     leaf = [LEAF, 0.0, LEAF, LEAF, 0.0]  # feature, threshold, left, right, value
     nodes = [leaf.copy()]
-    stack = [(np.arange(X.shape[0]), order, 0, 0)]
+    stack = [(root, 0, 0)]
     while stack:
-        idx, rows, depth, slot = stack.pop()
-        nodes[slot][4], split = split_node(idx, rows, depth)
+        node, depth, slot = stack.pop()
+        nodes[slot][4], split = split_node(node, depth)
         if split is None:
             continue
         f, thr = split
-        col = X[:, f]
-        go_left = col[idx] < thr
-        side = col[rows] < thr
         left = len(nodes)
         nodes[slot][:4] = f, thr, left, left + 1
         nodes += [leaf.copy(), leaf.copy()]
-        stack.append((idx[~go_left], rows[~side].reshape(d, -1), depth + 1, left + 1))
-        stack.append((idx[go_left], rows[side].reshape(d, -1), depth + 1, left))
+        lo, hi = children(node, depth, f, thr)
+        stack.append((hi, depth + 1, left + 1))
+        stack.append((lo, depth + 1, left))
     return TreeNodes(*zip(*nodes))
 
 
@@ -177,6 +180,10 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
     can always be separated. Leaf value is the node's positive fraction.
     ``importance`` (length-d array) accumulates per-feature impurity
     decrease weighted by node fraction. ``order`` is ``presort(X)``.
+
+    A node is ``(idx, rows)``: its rows ascending, and (d, len(idx)) its
+    rows by ascending value of each feature. A child's ``rows`` is its
+    parent's filtered by the side each row falls on, so no node sorts.
     """
     n, d = X.shape
     everything = np.arange(d)
@@ -194,7 +201,8 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
         weighted = (n_left * gini_left + n_right * gini_right) / n_node
         return _best_split(X, rows, cand, gini_node - weighted)
 
-    def split_node(idx, rows, depth):
+    def split_node(node, depth):
+        idx, rows = node
         n_node = len(idx)
         pos = int(y[idx].sum())
         p = pos / n_node
@@ -215,42 +223,155 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
         importance[f] += dec * (n_node / n)
         return p, (f, thr)
 
-    return _grow(X, order, split_node)
+    def children(node, depth, f, thr):
+        idx, rows = node
+        col = X[:, f]
+        go_left = col[idx] < thr
+        side = col[rows] < thr
+        return ((idx[go_left], rows[side].reshape(d, -1)),
+                (idx[~go_left], rows[~side].reshape(d, -1)))
+
+    return _grow((np.arange(n), order), split_node, children)
 
 
-def build_newton_tree(X, g, h, max_depth, reg_lambda, order):
+# Most bytes of arrays a boosting fit's layout store keeps, its root's not
+# counted: a fit on a few hundred rows loses no reuse to it, and a larger
+# fit's store stays bounded.
+_STORE_BYTES = 4 << 20
+
+
+class NodeLayouts:
+    """The layouts of one boosting fit's nodes, kept across its rounds.
+
+    X does not change between rounds, so a node's rows, and their order by
+    each feature, depend only on its path of splits from the root. A layout
+    is ``(idx, rows, bounds)``: the node's m rows ascending; (d, m) its rows
+    by ascending value of each feature; and the positions ``f * m + j`` in
+    ``rows`` after which feature f's value rises (its boundaries between
+    distinct values), ascending. The root's is built once per fit, and a
+    child's once per distinct split path ``((feature, threshold, went_left),
+    ...)`` from its parent's: filtering by the side each row falls on keeps
+    order. So within a node equal values stay in ascending row order, the
+    order a stable sort of the node's rows would give, and a layout served
+    from the store is the one building it again would give.
+
+    The store keeps at most ``_STORE_BYTES`` of layouts; to keep a new one
+    it drops those used least recently. ``hits`` counts the child layouts
+    it served, ``nbytes`` the bytes it holds.
+    """
+
+    def __init__(self, X):
+        n, d = X.shape
+        self.columns = np.ascontiguousarray(X.T)  # (d, n): one feature per row
+        self._starts = np.arange(0, d * n, n)[:, None]  # of each column, flat
+        self.root = self._layout(np.arange(n), presort(X))
+        self.hits = 0
+        self.nbytes = 0
+        self._store = {}  # path -> layout, least recently used first
+
+    def children(self, path, layout, f, thr, searched):
+        """The (path, layout) of both children of a node split on feature
+        ``f`` at ``thr``. A child that is not ``searched``, or holds one
+        row, gets ``idx`` alone: the rest of its layout is None."""
+        idx, rows, _ = layout
+        col = self.columns[f]
+        go_left = col.take(idx) < thr
+        side = None
+        out = []
+        for went_left in (True, False):
+            child = path + ((f, thr, went_left),)
+            built = self._store.pop(child, None) if searched else None
+            if built is not None:
+                self.hits += 1
+                self._store[child] = built  # now the most recently used
+                out.append((child, built))
+                continue
+            child_idx = idx.compress(go_left == went_left)
+            m = len(child_idx)
+            if not searched or m < 2:
+                out.append((child, (child_idx, None, None)))
+                continue
+            if side is None:
+                side = col.take(rows) < thr
+            built = self._layout(child_idx,
+                                 rows.compress((side == went_left).ravel()).reshape(-1, m))
+            self._keep(child, built)
+            out.append((child, built))
+        return out
+
+    def _keep(self, path, layout):
+        """Store ``layout``, dropping the least recently used layouts to make
+        room; one larger than the whole store is not kept."""
+        size = sum(a.nbytes for a in layout)
+        if size > _STORE_BYTES:
+            return
+        while self.nbytes + size > _STORE_BYTES:
+            self.nbytes -= sum(a.nbytes for a in self._store.pop(next(iter(self._store))))
+        self._store[path] = layout
+        self.nbytes += size
+
+    def _layout(self, idx, rows):
+        """A node's layout from its rows ascending, and by value."""
+        values = self.columns.take(rows + self._starts)
+        k = np.flatnonzero(values[:, :-1] < values[:, 1:])  # in (d, m - 1)
+        return idx, rows, k + k // (len(idx) - 1)
+
+
+def build_newton_tree(X, g, h, max_depth, reg_lambda, layouts):
     """Depth-limited regression tree on gradient/hessian statistics.
 
     Leaf weight is the Newton step -G / (H + lambda). Split search is
     exhaustive over features and distinct-value midpoints (deterministic,
     no sampling), keeping boosting fully reproducible without a seed.
-    ``order`` is ``presort(X)``: X does not change between boosting rounds,
-    so one sort serves the whole fit. Returns the tree and each row's leaf
-    value, which is ``tree_apply(tree, X)`` read off the grown leaves.
+    ``layouts`` is ``NodeLayouts(X)``, which one boosting fit shares among
+    its rounds. Returns the tree and each row's leaf value, which is
+    ``tree_apply(tree, X)`` read off the grown leaves.
+
+    A node packs g and h into one complex array, so one gather and one
+    cumulative sum give both GL and HL: complex addition adds the parts
+    separately, so each is the sum ``np.cumsum`` of that part would give.
+    The gain is computed at the node's boundaries alone, in place, with the
+    operations of the formula in its order. The best split is the first
+    maximum in (feature, boundary) order: the first boundary of the first
+    feature that reaches it. A split needs gain strictly > 0.
     """
-    everything = np.arange(X.shape[1])
+    gh = np.empty(X.shape[0], dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
     fitted = np.empty(X.shape[0], dtype=np.float64)
 
-    def split_node(idx, rows, depth):
+    def split_node(node, depth):
+        idx, rows, bounds = node[1]
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         value = -G / (H + reg_lambda)
-        split = None
-        if depth < max_depth and len(idx) >= 2:
-            parent = G * G / (H + reg_lambda)
-            GL = np.cumsum(g[rows], axis=1)[:, :-1]
-            HL = np.cumsum(h[rows], axis=1)[:, :-1]
+        if depth < max_depth and len(idx) >= 2 and len(bounds):
+            sums = np.cumsum(gh.take(rows), axis=1).take(bounds)
+            GL, HL = sums.real, sums.imag
+            # 0.5 * (GL**2 / (HL + lambda) + GR**2 / (HR + lambda) - parent)
+            gain = GL * GL
+            right = HL + reg_lambda
+            gain /= right
             GR = G - GL
-            HR = H - HL
-            gain = 0.5 * (GL * GL / (HL + reg_lambda) + GR * GR / (HR + reg_lambda)
-                          - parent)
-            split = _best_split(X, rows, everything, gain)
-        if split is None:
-            fitted[idx] = value
-            return value, None
-        return value, split[:2]
+            GR *= GR
+            np.subtract(H, HL, out=right)
+            right += reg_lambda
+            GR /= right
+            gain += GR
+            gain -= G * G / (H + reg_lambda)
+            gain *= 0.5
+            k = int(gain.argmax())
+            if gain[k] > 0.0:
+                f, j = divmod(int(bounds[k]), len(idx))
+                col = layouts.columns[f]
+                return value, (f, float(0.5 * (col[rows[f, j]] + col[rows[f, j + 1]])))
+        fitted[idx] = value
+        return value, None
 
-    return _grow(X, order, split_node), fitted
+    def children(node, depth, f, thr):
+        return layouts.children(*node, f, thr, searched=depth + 1 < max_depth)
+
+    return _grow(((), layouts.root), split_node, children), fitted
 
 
 def tree_apply(tree: TreeNodes, X) -> np.ndarray:

@@ -21,12 +21,12 @@ succeeds or fails on its own. Every model of a track is searched on one set
 of fold pipelines.
 
 A run is a list of units of work (see ``_run_tracks``): per track, one unit
-fits the track's pipeline and one per CV fold builds that fold and scores
-every learner's grid on it; once every winner is picked, one unit per
-(track, learner) trains and tests the winner. With two or more CPUs in the
-affinity mask the units run side by side in forked workers; otherwise, or
-under ``taskset -c 0``, in this process. Every unit is seeded, so the
-report is the same either way.
+per CV fold builds that fold and scores every learner's grid on it, and one
+fits the track's pipeline; as soon as a track's units are done its winners
+are picked, and one unit per (track, learner) trains and tests a winner.
+With two or more CPUs in the affinity mask the units run side by side in
+forked workers; otherwise, or under ``taskset -c 0``, in this process.
+Every unit is seeded, so the report is the same either way.
 
 Seed derivations (everything flows from cfg.seed unless noted):
   split                     cfg.seed
@@ -373,15 +373,16 @@ def _cross_validate(specs, folds) -> list:
     validation) triples.
 
     The fold-f model trains once, under seed spec.seed + f, with the largest
-    staged value among the specs; every spec is scored from its staged
-    predictions on the fold's training and held-out parts.
+    staged value among the specs, and without a loss curve: it is dropped
+    once scored. Every spec is scored from its staged predictions on the
+    fold's training and held-out parts.
     """
     stage = specs[0].learner.staged_hyperparameter
     values = [s.hyperparameters[stage] if stage else None for s in specs]
     top = specs[values.index(max(values))] if stage else specs[0]
     per_spec = [[] for _ in specs]
     for f, proc_tr, proc_va in folds:
-        model = clf.train(top.with_seed(top.seed + f), proc_tr)
+        model = clf.train_without_loss_curve(top.with_seed(top.seed + f), proc_tr)
         train_acc = _stage_accuracies(model, proc_tr, values)
         val_acc = _stage_accuracies(model, proc_va, values)
         for results, value in zip(per_spec, values):
@@ -561,15 +562,18 @@ def _call(unit):
 
 @contextlib.contextmanager
 def _run_units(units):
-    """Run ``units``; yield their results, in unit order, and ``run``, which
-    runs a later list of units the same way and returns its results.
+    """Run ``units``; yield an iterator over their results, in unit order,
+    and ``submit``, which starts a later list of units the same way and
+    returns a function that waits for their results, in list order.
 
     The units run on a pool of forked workers, one per unit and at most one
     per usable CPU, or here in list order: with one CPU or unit, without
-    fork, or inside a pool worker. Each worker inherits ``units``, so their
-    inputs are not pickled; a later list reaches the workers pickled. An
-    exception in a worker reaches the caller with its type. Leaving the
-    block terminates the pool and joins every worker.
+    fork, or inside a pool worker. On the pool a later list queues behind
+    the units not yet started; here it runs when submitted. Each worker
+    inherits ``units``, so their inputs are not pickled; a later list
+    reaches the workers pickled. An exception in a worker reaches the caller
+    with its type. Leaving the block terminates the pool and joins every
+    worker.
     """
     processes = min(len(units), _usable_cpus())
     if processes > 1:
@@ -580,52 +584,57 @@ def _run_units(units):
                 or "fork" not in multiprocessing.get_all_start_methods()):
             processes = 1
     if processes < 2:
-        yield [unit() for unit in units], lambda later: [unit() for unit in later]
+        def submit(later):
+            results = [unit() for unit in later]
+            return lambda: results
+        yield (unit() for unit in units), submit
         return
     with multiprocessing.get_context("fork").Pool(
             processes, initializer=_inherit, initargs=(units,)) as pool:
-        yield (pool.map(_run_inherited, range(len(units)), chunksize=1),
-               lambda later: pool.map(_call, later, chunksize=1))
+        yield (pool.imap(_run_inherited, range(len(units)), chunksize=1),
+               lambda later: pool.map_async(_call, later, chunksize=1).get)
 
 
 def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
     """Run every enabled model on each track, as units of work.
 
-    Phase 1 lists one (track, fold f) unit per track and CV fold
-    (``_search_fold``), then one (track, full) unit per track
-    (``_fit_track``): those carry no learner work, so listed last they keep
-    the pool's tail short. Each learner's winner is then picked here, as
-    ``grid_search`` picks it, track by track. Phase 2 lists one (track,
-    learner) unit per winner (``_fit_winner``), learner by learner: the
-    tracks' final fits of one learner cost about the same, so on two CPUs
-    they are handed out, and end, together. Both phases run on one pool
-    (``_run_units``), or here in list order; each unit is seeded, so the
-    results are the same either way. A fold's datasets live only inside
-    its unit.
+    Track by track, the unit list holds one (track, fold f) unit per CV
+    fold (``_search_fold``), then the track's (track, full) unit
+    (``_fit_track``). Their results are read in list order: once a track's
+    are in, each learner's winner is picked here, as ``grid_search`` picks
+    it, and one (track, learner) unit per winner (``_fit_winner``) is handed
+    to the same pool, where it runs as soon as a worker is free of the units
+    listed before it. So the first track's final fits fill the gaps the
+    second track's last fold units leave. Every unit runs on one pool
+    (``_run_units``), or here in list order, each track's final fits after
+    its full unit; each unit is seeded, so the results are the same either
+    way. A fold's datasets live only inside its unit.
     """
     for track in tracks:
         if track not in TRACKS:
             raise ValueError(f"unknown track {track!r}")
     fold_indices = stratified_fold_indices(split.train.y, cfg.cv_folds, cfg.seed)
-    smote = [cfg.smote if track == "balanced" else None for track in tracks]
-    units = [functools.partial(_search_fold, split.train, f, val_idx, smote_cfg, cfg)
-             for smote_cfg in smote for f, val_idx in enumerate(fold_indices)]
-    units += [functools.partial(_fit_track, split, smote_cfg, cfg) for smote_cfg in smote]
-    n_folds = len(fold_indices)
-    with _run_units(units) as (done, run):
-        prepared = done[len(tracks) * n_folds:]
-        searches = []  # per track, per learner
-        for t in range(len(tracks)):
-            per_fold = done[t * n_folds:(t + 1) * n_folds]
-            searches.append([_pick(kind, cfg.grids[kind], cfg.seed,
-                                   _merge_folds([results[k] for results in per_fold]))
-                             for k, kind in enumerate(cfg.models)])
-        finals = run([functools.partial(_fit_winner, searches[t][k], *prepared[t][:2])
-                      for k in range(len(cfg.models)) for t in range(len(tracks))])
-    return tuple(TrackReport(track=track, train_rows=proc_train.n_rows,
-                             models=tuple(finals[t::len(tracks)]), state=state)
-                 for t, (track, (proc_train, _, state))
-                 in enumerate(zip(tracks, prepared)))
+    units = []
+    for track in tracks:
+        smote_cfg = cfg.smote if track == "balanced" else None
+        units += [functools.partial(_search_fold, split.train, f, val_idx, smote_cfg, cfg)
+                  for f, val_idx in enumerate(fold_indices)]
+        units.append(functools.partial(_fit_track, split, smote_cfg, cfg))
+    with _run_units(units) as (done, submit):
+        started = []  # per track: its (track, full) result, and its finals
+        for _ in tracks:
+            per_fold = [next(done) for _ in fold_indices]
+            proc_train, proc_test, state = next(done)
+            finals = submit([
+                functools.partial(_fit_winner,
+                                  _pick(kind, cfg.grids[kind], cfg.seed,
+                                        _merge_folds([results[k] for results in per_fold])),
+                                  proc_train, proc_test)
+                for k, kind in enumerate(cfg.models)])
+            started.append((proc_train, state, finals))
+        return tuple(TrackReport(track=track, train_rows=proc_train.n_rows,
+                                 models=tuple(finals()), state=state)
+                     for track, (proc_train, state, finals) in zip(tracks, started))
 
 
 def run_track(track: str, split: SplitPair, cfg: ExperimentConfig) -> TrackReport:

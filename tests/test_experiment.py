@@ -497,14 +497,14 @@ def test_without_fork_each_track_is_searched_before_the_next_is_prepared(
         seen[fork] = list(events)
         assert multiprocessing.active_children() == []
     # with fork every pipeline is fitted in a pool worker; without it the
-    # units run here in list order, each fold built once: every fold of
-    # each track in turn, then each track's full training partition
+    # units run here in list order, each fold built once: track by track,
+    # every fold of the track, then its full training partition
     split = stratified_split(ds, cfg.split_ratio, cfg.seed)
     n = split.train.n_rows
     fold_rows = [n - len(val_idx) for val_idx
                  in stratified_fold_indices(split.train.y, cfg.cv_folds, cfg.seed)]
     assert seen[True] == []
-    assert seen[False] == ([(track, rows) for track in cfg.tracks for rows in fold_rows]
-                           + [(track, n) for track in cfg.tracks])
+    assert seen[False] == [(track, rows) for track in cfg.tracks
+                           for rows in fold_rows + [n]]
     assert len(outputs[False]) == 1 + 2 * 2 * 4  # report; 3 plots + 1 bundle each
     assert outputs[False] == outputs[True]

@@ -143,8 +143,8 @@ def test_fixed_grids_match_per_point_search(kind, grid):
 
 def test_grid_search_trains_each_group_once_per_fold(monkeypatch):
     trained = []
-    train = clf.train
-    monkeypatch.setattr(clf, "train",
+    train = clf.train_without_loss_curve  # the fold models' entry point
+    monkeypatch.setattr(clf, "train_without_loss_curve",
                         lambda spec, ds: trained.append(spec) or train(spec, ds))
     folds = make_folds(np.random.default_rng(1), 3, 20, 3, "normal")
     grid = {"n_trees": (2, 4, 3), "max_depth": (None, 2)}
@@ -163,3 +163,39 @@ def test_staged_values_must_be_stages_of_the_model():
         model.staged_predict_sets(train.X, (4,))
     with pytest.raises(ValueError, match="not a stage"):
         model.staged_predict_sets(train.X, (0,))
+
+
+def test_fold_models_skip_the_loss_curve_and_final_models_keep_it(monkeypatch):
+    from flowguard.classifiers import boosting, mlp
+    from flowguard.experiment import _cross_validate
+
+    calls = []
+    for module, name in ((boosting, "mean_log_loss"), (mlp, "bce_loss")):
+        loss = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, loss=loss, name=name:
+                            calls.append(name) or loss(*args))
+    rng = np.random.default_rng(2)
+    names = ("a", "b", "c")
+    folds = []
+    for f in range(3):
+        X = make_rows(rng, 36, 3, "normal")
+        y = np.arange(36) % 2
+        folds.append((f, Dataset(feature_names=names, X=X[:30], y=y[:30]),
+                      Dataset(feature_names=names, X=X[30:], y=y[30:])))
+    gbt = [clf.make_spec("GBT", rounds=r) for r in (3, 5)]
+    net = [clf.make_spec("MLP", epochs=4, hidden_sizes=(4,))]
+    for specs in (gbt, net):
+        assert all(len(r) == 3 for r in _cross_validate(specs, folds))
+    assert calls == []
+
+    train = folds[0][1]
+    for spec, field in ((gbt[1], "trees"), (net[0], "weights")):
+        final = clf.train(spec, train)
+        dropped = clf.train_without_loss_curve(spec, train)
+        assert dropped.loss_curve is None
+        assert final.to_state()[field] == dropped.to_state()[field]
+    # one loss before training, then one per round or epoch
+    assert len(clf.train(gbt[1], train).loss_curve) == 5 + 1
+    assert len(clf.train(net[0], train).loss_curve) == 4 + 1
+    assert calls.count("mean_log_loss") == 2 * (5 + 1)
+    assert calls.count("bce_loss") == 2 * (4 + 1)

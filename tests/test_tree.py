@@ -1,13 +1,18 @@
 """Presorted split search: trees bit-identical to per-node sorting oracles.
 
 The oracles (``tests/oracles.py``) sort every candidate feature at every
-node, one feature at a time. The library sorts each column once per tree
-(once per boosting fit) and scores all candidate features in one block.
-Every ``TreeNodes`` array, and the forest's impurity importances, must
-agree byte for byte; the oracles keep node lists of their own, so this
-also pins the library's node order. Routing rows node by node must give
-the leaf values of the level-wise oracle router byte for byte.
+node, one feature at a time. The library sorts each column once per tree,
+and a boosting fit builds each node layout once per distinct split path
+and serves it to every later round (``tree.NodeLayouts``); it scores all
+candidate features in one block. Every ``TreeNodes`` array, and the
+forest's impurity importances, must agree byte for byte; the oracles keep
+node lists of their own, so this also pins the library's node order.
+Routing rows node by node must give the leaf values of the level-wise
+oracle router byte for byte.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +23,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flowguard import classifiers as clf  # noqa: E402
-from flowguard.classifiers.tree import (LEAF, TreeNodes,  # noqa: E402
-                                        build_gini_tree, build_newton_tree,
-                                        presort, presort_sample, tree_apply,
+from flowguard.classifiers import boosting, tree  # noqa: E402
+from flowguard.classifiers.base import sigmoid  # noqa: E402
+from flowguard.classifiers.tree import (LEAF, NodeLayouts,  # noqa: E402
+                                        TreeNodes, build_gini_tree,
+                                        build_newton_tree, presort,
+                                        presort_sample, tree_apply,
                                         trees_from_state, value_ranks)
 from flowguard.dataset import Dataset  # noqa: E402
+from flowguard.synth import SynthConfig, generate  # noqa: E402
 from oracles import (gini_tree_brute, newton_tree_brute,  # noqa: E402
                      tree_apply_levelwise)
 
@@ -51,8 +60,8 @@ def assert_same_tree(got, want):
 
 
 @st.composite
-def tree_cases(draw):
-    layout = draw(st.sampled_from(LAYOUTS))
+def tree_cases(draw, layouts=LAYOUTS):
+    layout = draw(st.sampled_from(layouts))
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -93,7 +102,8 @@ def test_newton_tree_matches_oracle(case, max_depth, reg_lambda, scores):
         raw = rng.choice([-40.0, 0.0, 40.0], size=n)
     p = 1.0 / (1.0 + np.exp(-raw))
     g, h = p - y, p * (1.0 - p)
-    got, fitted = build_newton_tree(X, g, h, max_depth, reg_lambda, order=presort(X))
+    got, fitted = build_newton_tree(X, g, h, max_depth, reg_lambda,
+                                    NodeLayouts(X))
     want = newton_tree_brute(X, g, h, max_depth, reg_lambda)
     assert_same_tree(got, want)
     assert fitted.tobytes() == tree_apply_levelwise(want, X).tobytes()
@@ -112,10 +122,78 @@ def test_trees_match_oracle_on_large_nodes():
     assert imp_got.tobytes() == imp_want.tobytes()
     p = 1.0 / (1.0 + np.exp(-rng.standard_normal(600)))
     g, h = p - y, p * (1.0 - p)
-    got, fitted = build_newton_tree(X, g, h, 6, 1.0, order=presort(X))
+    got, fitted = build_newton_tree(X, g, h, 6, 1.0, NodeLayouts(X))
     want = newton_tree_brute(X, g, h, 6, 1.0)
     assert_same_tree(got, want)
     assert fitted.tobytes() == tree_apply_levelwise(want, X).tobytes()
+
+
+class RecordedLayouts(tree.NodeLayouts):
+    """``NodeLayouts`` that lists every store a fit makes."""
+
+    made = []
+
+    def __init__(self, X):
+        super().__init__(X)
+        self.made.append(self)
+
+
+def fit_recording_layouts(spec, X, y):
+    """A GBT fit on (X, y), and the layout store it used."""
+    RecordedLayouts.made = []
+    with mock.patch.object(boosting, "NodeLayouts", RecordedLayouts):
+        model = boosting.GradientBoostedTreesModel.fit(spec, X, y)
+    (layouts,) = RecordedLayouts.made
+    return model, layouts
+
+
+def test_boosting_layout_reuse_matches_oracle_round_by_round():
+    # Every round's tree must be the oracle's for that round's g and h, with
+    # scores accumulated from the oracle's own trees: a layout served from
+    # the store for the wrong rows would split differently. Small integer
+    # grids repeat split paths across rounds, so there the store serves.
+    served = dict.fromkeys(LAYOUTS, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(LAYOUTS).flatmap(
+               lambda layout: tree_cases((layout,)).map(lambda c: (layout, *c))),
+           st.integers(1, 20), st.integers(1, 4), st.sampled_from((0.1, 0.3)),
+           st.sampled_from((1.0, 1e-3)))
+    def check(case, rounds, depth, eta, reg_lambda):
+        layout, X, y, _ = case
+        spec = clf.make_spec("GBT", rounds=rounds, depth=depth, learning_rate=eta,
+                             reg_lambda=reg_lambda)
+        model, layouts = fit_recording_layouts(spec, X, y)
+        assert len(model.trees) == rounds
+        yf = y.astype(np.float64)
+        scores = np.zeros(X.shape[0])
+        for got in model.trees:
+            p = sigmoid(scores)
+            want = newton_tree_brute(X, p - yf, p * (1.0 - p), depth, reg_lambda)
+            assert_same_tree(got, want)
+            scores += eta * tree_apply_levelwise(want, X)
+        served[layout] += layouts.hits
+
+    check()
+    assert served["grid"] > 0
+
+
+def test_boosting_layout_store_stays_within_its_cap():
+    ds = generate(SynthConfig(n_benign=1800, n_ddos=900, class_separation=2.0,
+                              noise_fraction=0.02, seed=4))
+    X = (ds.X - ds.X.mean(axis=0)) / ds.X.std(axis=0)
+    tracemalloc.start()
+    try:
+        _, layouts = fit_recording_layouts(clf.make_spec("GBT", rounds=100), X, ds.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = list(layouts._store.values())
+    assert layouts.nbytes == sum(a.nbytes for layout in kept for a in layout)
+    # the fit would keep far more: the cap, not the fit, bounds the store
+    assert tree._STORE_BYTES / 2 < layouts.nbytes <= tree._STORE_BYTES
+    # the store, the root layout and one node's working arrays
+    assert peak < tree._STORE_BYTES + 12 * X.nbytes
 
 
 def test_gini_fallback_widens_to_all_features():

@@ -16,9 +16,9 @@ one fit per fold. The fold-f model trains once, under the fold seed
 spec.seed + f that every fold model uses, with the largest value of the
 group; every value is scored from its staged predictions, which are exactly
 those of a model trained with that value alone. A group whose fit
-or scoring raises ValueError falls back to one fit per point, so each point
-succeeds or fails on its own. Every model of a track is searched on one set
-of fold pipelines.
+or scoring on a fold raises ValueError falls back, on that fold, to one fit
+per point, so each point succeeds or fails on its own. Every model of a
+track is searched on one set of fold pipelines.
 
 A run is a list of units of work (see ``_run_tracks``): per track, one unit
 per CV fold builds that fold and scores every learner's grid on it, and one
@@ -26,7 +26,8 @@ fits the track's pipeline; as soon as a track's units are done its winners
 are picked, and one unit per (track, learner) trains and tests a winner.
 With two or more CPUs in the affinity mask the units run side by side in
 forked workers; otherwise, or under ``taskset -c 0``, in this process.
-Every unit is seeded, so the report is the same either way.
+Every unit is seeded, so the report is the same either way. A run that
+fails lets the units already queued finish before it raises.
 
 Seed derivations (everything flows from cfg.seed unless noted):
   split                     cfg.seed
@@ -209,11 +210,13 @@ class PipelineState:
     def prepare(self, ds: Dataset) -> Dataset:
         """A raw capture encoded as the training data was: its columns picked
         by the training names, gaps imputed from the capture itself, tokens
-        coded by the training category maps. ValueError if it cannot be,
-        or if a coded column was read as numbers (load it with
+        coded by the training category maps. ValueError if it cannot be, if
+        it has no rows, or if a coded column was read as numbers (load it with
         ``text_columns``). A capture whose columns are already in training
         order is not copied, so the bundles that score it share its scans and
         tokens."""
+        if ds.n_rows == 0:  # its columns' types cannot be told
+            raise ValueError("the capture has no rows")
         if self.feature_names not in (None, ds.feature_names):
             missing = [n for n in self.feature_names if n not in ds.feature_names]
             extra = [n for n in ds.feature_names if n not in self.feature_names]
@@ -335,20 +338,29 @@ def _accuracy(pred, ds: Dataset) -> float:
     return float(np.mean(pred.labels == ds.y))
 
 
+def _fit_part(train: Dataset, held_out: Dataset, offset: int, seed: int, smote_cfg,
+              lof_cfg, select_top_m):
+    """The pipeline fitted on ``train`` alone, with SMOTE under
+    smote_cfg.seed + offset and feature ranking under seed + offset (offset 0
+    for the training partition, f + 1 for CV fold f): the processed
+    ``train``, ``held_out`` transformed, and the fitted state."""
+    part_smote = (None if smote_cfg is None
+                  else dataclasses.replace(smote_cfg, seed=smote_cfg.seed + offset))
+    proc_train, state = fit_track_pipeline(train, part_smote, lof_cfg, select_top_m,
+                                           select_seed=seed + offset)
+    proc_held_out = state.transform(held_out)
+    if not np.array_equal(proc_held_out.y, held_out.y):  # same rows, same labels
+        raise AssertionError("held-out rows must pass through unmodified")
+    return proc_train, proc_held_out, state
+
+
 def _build_fold(train: Dataset, f: int, val_idx, seed: int, smote_cfg, lof_cfg,
                 select_top_m):
     """CV fold f's processed (training, validation) parts, its pipeline fitted
-    on its training rows alone: SMOTE under smote_cfg.seed + f + 1, feature
-    ranking under seed + f + 1."""
-    mask = np.ones(train.n_rows, dtype=bool)
-    mask[val_idx] = False
-    raw_tr = train.take(np.flatnonzero(mask))
-    raw_va = train.take(val_idx)
-    fold_smote = (None if smote_cfg is None
-                  else dataclasses.replace(smote_cfg, seed=smote_cfg.seed + f + 1))
-    proc_tr, state = fit_track_pipeline(raw_tr, fold_smote, lof_cfg, select_top_m,
-                                        select_seed=seed + f + 1)
-    return proc_tr, state.transform(raw_va)
+    on its training rows alone (``_fit_part`` with offset f + 1)."""
+    return _fit_part(train.take(np.delete(np.arange(train.n_rows), val_idx)),
+                     train.take(val_idx), f + 1, seed, smote_cfg, lof_cfg,
+                     select_top_m)[:2]
 
 
 def build_fold_datasets(train: Dataset, n_folds: int, seed: int,
@@ -367,12 +379,11 @@ def _stage_accuracies(model, ds: Dataset, values) -> dict:
     return {value: _accuracy(pred, ds) for value, pred in predictions.items()}
 
 
-def _cross_validate(specs, folds) -> list:
-    """One tuple of FoldResults per spec, for specs that differ at most in
-    the staged hyperparameter of their kind, on ``folds``: (f, training,
-    validation) triples.
+def _cross_validate(specs, f: int, proc_tr: Dataset, proc_va: Dataset) -> list:
+    """One FoldResult per spec on CV fold f, for specs that differ at most in
+    the staged hyperparameter of their kind.
 
-    The fold-f model trains once, under seed spec.seed + f, with the largest
+    The fold model trains once, under seed spec.seed + f, with the largest
     staged value among the specs, and without a loss curve: it is dropped
     once scored. Every spec is scored from its staged predictions on the
     fold's training and held-out parts.
@@ -380,15 +391,11 @@ def _cross_validate(specs, folds) -> list:
     stage = specs[0].learner.staged_hyperparameter
     values = [s.hyperparameters[stage] if stage else None for s in specs]
     top = specs[values.index(max(values))] if stage else specs[0]
-    per_spec = [[] for _ in specs]
-    for f, proc_tr, proc_va in folds:
-        model = clf.train_without_loss_curve(top.with_seed(top.seed + f), proc_tr)
-        train_acc = _stage_accuracies(model, proc_tr, values)
-        val_acc = _stage_accuracies(model, proc_va, values)
-        for results, value in zip(per_spec, values):
-            results.append(FoldResult(fold=f, train_accuracy=train_acc[value],
-                                      validation_accuracy=val_acc[value]))
-    return [tuple(results) for results in per_spec]
+    model = clf.train_without_loss_curve(top.with_seed(top.seed + f), proc_tr)
+    train_acc = _stage_accuracies(model, proc_tr, values)
+    val_acc = _stage_accuracies(model, proc_va, values)
+    return [FoldResult(fold=f, train_accuracy=train_acc[value],
+                       validation_accuracy=val_acc[value]) for value in values]
 
 
 def expand_grid(grid: dict):
@@ -423,16 +430,17 @@ def _grid_points(kind: str, grid: dict, seed: int):
     return points, specs, _stage_groups(points, clf.learner(kind).staged_hyperparameter)
 
 
-def _score_points(kind: str, grid: dict, seed: int, folds) -> list:
-    """Per grid point, its FoldResults on ``folds`` or, if it cannot train
+def _score_points(kind: str, grid: dict, seed: int, f: int, proc_tr: Dataset,
+                  proc_va: Dataset) -> list:
+    """Per grid point, its FoldResult on CV fold f or, if it cannot train
     (the learner raises ValueError), the error text. A stage group shares
-    its fits, fold by fold; if that raises ValueError, each member is
-    retried alone. Any other exception is a bug and propagates."""
+    its fit; if that raises ValueError, each member is retried alone. Any
+    other exception is a bug and propagates."""
     _, specs, groups = _grid_points(kind, grid, seed)
 
     def cross_validate(members):
         try:
-            return _cross_validate([specs[i] for i in members], folds)
+            return _cross_validate([specs[i] for i in members], f, proc_tr, proc_va)
         except ValueError as exc:
             if len(members) > 1:  # retry each point alone
                 return [r for i in members for r in cross_validate([i])]
@@ -445,14 +453,20 @@ def _score_points(kind: str, grid: dict, seed: int, folds) -> list:
     return results
 
 
-def _pick(kind: str, grid: dict, seed: int, results) -> GridSearchOutcome:
-    """The search outcome from each grid point's FoldResults or error text.
+def _pick(kind: str, grid: dict, seed: int, per_fold) -> GridSearchOutcome:
+    """The search outcome from each fold's ``_score_points`` list, in fold
+    order. A point that failed on some fold keeps the error of the first
+    fold it failed on; any other point, its FoldResults in fold order.
 
     Highest mean validation accuracy wins; exact ties keep the point listed
     first. Each failed point is logged as a warning, group by group; if
     every point failed, ValueError.
     """
     points, specs, groups = _grid_points(kind, grid, seed)
+    results = []
+    for on_each_fold in zip(*per_fold):
+        errors = [r for r in on_each_fold if isinstance(r, str)]
+        results.append(errors[0] if errors else on_each_fold)
     for members in groups:
         for i in members:
             if isinstance(results[i], str):
@@ -478,49 +492,21 @@ def _pick(kind: str, grid: dict, seed: int, results) -> GridSearchOutcome:
 
 def grid_search(kind: str, grid: dict, fold_datasets,
                 seed: int = 0) -> GridSearchOutcome:
-    """Exhaustive grid evaluation by CV accuracy.
-
-    Highest mean validation accuracy wins; exact ties keep the combination
-    listed first. Combinations that cannot train (the learner raises
-    ValueError) are skipped with a logged warning; any other exception is a
-    bug and propagates. If every combination fails, the search raises.
-    Points that differ only in the staged hyperparameter share their fits
-    (see the module docstring); the outcome is the same as fitting each.
-    """
-    folds = [(f, proc_tr, proc_va) for f, (proc_tr, proc_va) in enumerate(fold_datasets)]
-    return _pick(kind, grid, seed, _score_points(kind, grid, seed, folds))
-
-
-def _fit_track(split: SplitPair, smote_cfg, cfg: ExperimentConfig):
-    """Unit (track, full): the track's pipeline fitted on the training
-    partition, and the processed training and test partitions."""
-    proc_train, state = fit_track_pipeline(split.train, smote_cfg, cfg.lof,
-                                           cfg.select_top_m, select_seed=cfg.seed)
-    proc_test = state.transform(split.test)
-    if proc_test.n_rows != split.test.n_rows or not np.array_equal(proc_test.y,
-                                                                   split.test.y):
-        raise AssertionError("test partition must pass through unmodified")
-    return proc_train, proc_test, state
+    """Exhaustive grid evaluation by CV accuracy on built folds, as a run
+    searches: ``_pick`` over each fold's ``_score_points``, whose docstrings
+    say how points share fits, fail and win."""
+    return _pick(kind, grid, seed, [_score_points(kind, grid, seed, f, proc_tr, proc_va)
+                                    for f, (proc_tr, proc_va) in enumerate(fold_datasets)])
 
 
 def _search_fold(train: Dataset, f: int, val_idx, smote_cfg,
                  cfg: ExperimentConfig) -> list:
     """Unit (track, fold f): build fold f, then score every learner's grid on
-    it. Per learner, per grid point: a 1-tuple of FoldResult, or the error."""
+    it: per learner, its ``_score_points`` list."""
     proc_tr, proc_va = _build_fold(train, f, val_idx, cfg.seed, smote_cfg, cfg.lof,
                                    cfg.select_top_m)
-    return [_score_points(kind, cfg.grids[kind], cfg.seed, [(f, proc_tr, proc_va)])
+    return [_score_points(kind, cfg.grids[kind], cfg.seed, f, proc_tr, proc_va)
             for kind in cfg.models]
-
-
-def _merge_folds(per_fold) -> list:
-    """Per grid point, from its results on each fold in turn: its FoldResults
-    in fold order, or the error of the first fold it failed on."""
-    merged = []
-    for results in zip(*per_fold):
-        errors = [r for r in results if isinstance(r, str)]
-        merged.append(errors[0] if errors else sum(results, ()))
-    return merged
 
 
 def _fit_winner(search: GridSearchOutcome, proc_train: Dataset,
@@ -572,8 +558,10 @@ def _run_units(units):
     the units not yet started; here it runs when submitted. Each worker
     inherits ``units``, so their inputs are not pickled; a later list
     reaches the workers pickled. An exception in a worker reaches the caller
-    with its type. Leaving the block terminates the pool and joins every
-    worker.
+    with its type. Leaving the block, by an exception too, closes the pool
+    and joins every worker once the queued units finish: terminating it
+    could kill a worker holding the result queue's lock and hang. An
+    interrupt, which stops the workers too, terminates it.
     """
     processes = min(len(units), _usable_cpus())
     if processes > 1:
@@ -589,10 +577,17 @@ def _run_units(units):
             return lambda: results
         yield (unit() for unit in units), submit
         return
-    with multiprocessing.get_context("fork").Pool(
-            processes, initializer=_inherit, initargs=(units,)) as pool:
+    pool = multiprocessing.get_context("fork").Pool(processes, initializer=_inherit,
+                                                    initargs=(units,))
+    try:
         yield (pool.imap(_run_inherited, range(len(units)), chunksize=1),
                lambda later: pool.map_async(_call, later, chunksize=1).get)
+    except KeyboardInterrupt:  # close() would wait for the units it cut short
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
 
 
 def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
@@ -600,15 +595,17 @@ def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
 
     Track by track, the unit list holds one (track, fold f) unit per CV
     fold (``_search_fold``), then the track's (track, full) unit
-    (``_fit_track``). Their results are read in list order: once a track's
-    are in, each learner's winner is picked here, as ``grid_search`` picks
-    it, and one (track, learner) unit per winner (``_fit_winner``) is handed
-    to the same pool, where it runs as soon as a worker is free of the units
-    listed before it. So the first track's final fits fill the gaps the
-    second track's last fold units leave. Every unit runs on one pool
-    (``_run_units``), or here in list order, each track's final fits after
-    its full unit; each unit is seeded, so the results are the same either
-    way. A fold's datasets live only inside its unit.
+    (``_fit_part``). Their results are read in list order: once a track's
+    are in, each learner's winner is picked here, by ``_pick`` as in
+    ``grid_search``, and one (track, learner) unit per winner
+    (``_fit_winner``) is handed to the same pool, where it runs as soon as a
+    worker is free of the units listed before it. So the first track's final
+    fits fill the gaps the second track's last fold units leave. Every unit
+    runs on one pool (``_run_units``), or here in list order, each track's
+    final fits after its full unit; each unit is seeded, so the results are
+    the same either way. A fold's datasets live only inside its unit. If a
+    unit or a pick raises, the queued units finish before the error reaches
+    the caller.
     """
     for track in tracks:
         if track not in TRACKS:
@@ -619,7 +616,8 @@ def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
         smote_cfg = cfg.smote if track == "balanced" else None
         units += [functools.partial(_search_fold, split.train, f, val_idx, smote_cfg, cfg)
                   for f, val_idx in enumerate(fold_indices)]
-        units.append(functools.partial(_fit_track, split, smote_cfg, cfg))
+        units.append(functools.partial(_fit_part, split.train, split.test, 0, cfg.seed,
+                                       smote_cfg, cfg.lof, cfg.select_top_m))
     with _run_units(units) as (done, submit):
         started = []  # per track: its (track, full) result, and its finals
         for _ in tracks:
@@ -628,7 +626,7 @@ def _run_tracks(tracks, split: SplitPair, cfg: ExperimentConfig) -> tuple:
             finals = submit([
                 functools.partial(_fit_winner,
                                   _pick(kind, cfg.grids[kind], cfg.seed,
-                                        _merge_folds([results[k] for results in per_fold])),
+                                        [results[k] for results in per_fold]),
                                   proc_train, proc_test)
                 for k, kind in enumerate(cfg.models)])
             started.append((proc_train, state, finals))

@@ -152,8 +152,8 @@ def smote_oversample(train: Dataset, cfg: SmoteConfig) -> Dataset:
     if needed <= 0:
         return train.replace()
     if cfg.k_neighbors >= n_min:
-        raise ValueError(
-            f"k_neighbors={cfg.k_neighbors} must be < minority class size {n_min}")
+        raise ValueError(f"SMOTE: smote_k_neighbors={cfg.k_neighbors} must be < "
+                         f"minority class size {n_min}")
 
     min_idx = np.flatnonzero(train.y == minority)
     Xm = np.ascontiguousarray(train.X[min_idx])
@@ -202,7 +202,8 @@ def lof_scores(ds: Dataset, k_neighbors: int) -> np.ndarray:
     _require_numeric(ds, "lof_scores")
     n = ds.n_rows
     if not 0 < k_neighbors < n:
-        raise ValueError(f"k_neighbors must lie in [1, {n - 1}], got {k_neighbors}")
+        raise ValueError(f"LOF: lof_k_neighbors must lie in [1, {n - 1}] for {n} rows, "
+                         f"got {k_neighbors}")
     # One pass finds every distinct row's tie-inclusive neighborhood, sorted
     # by distance; its last member sits at the k-distance.
     nb = distinct_neighbors(ds.X, ds.X, k_neighbors, exclude_self=True, ties=True)

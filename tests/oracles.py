@@ -22,6 +22,7 @@ instead of splitting each node's own rows.
 """
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from flowguard.dataset import (DEFAULT_LABEL_COLUMN, MISSING_TOKENS, Dataset,
                                LoadError, stratified_split)
 from flowguard.distance import sq_dists
 from flowguard.experiment import (FoldResult, GridPoint, GridSearchOutcome,
-                                  _accuracy, expand_grid, fit_track_pipeline)
+                                  _accuracy, fit_track_pipeline)
 from flowguard.preprocess import LOF_DENSITY_EPS, _require_numeric, scaler_to_dict
 
 
@@ -378,10 +379,13 @@ def kfold_cv_brute(spec, fold_datasets) -> CvResult:
 
 
 def grid_search_brute(kind, grid, fold_datasets, seed) -> GridSearchOutcome:
-    """Every grid point cross-validated on its own, in expand_grid order."""
+    """Every grid point cross-validated on its own. Points are listed with
+    the first-listed hyperparameter outermost, an order kept here apart from
+    the library's, as it decides ties."""
     best = None
     trace = []
-    for params in expand_grid(grid):
+    for values in itertools.product(*grid.values()):
+        params = dict(zip(grid, values))
         spec = clf.ModelSpec(kind=kind, hyperparameters=params, seed=seed)
         try:
             cv = kfold_cv_brute(spec, fold_datasets)

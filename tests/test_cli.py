@@ -242,6 +242,15 @@ def _rewrite_csv(src, dst, header_map=None, order=None):
     return dst
 
 
+def test_evaluate_refuses_a_capture_without_rows(corpus, finished_run, tmp_path,
+                                                capsys):
+    data = tmp_path / "header_only.csv"
+    data.write_text(corpus.read_text().split("\n")[0] + "\n")
+    assert main(["evaluate", "--model", str(finished_run / "model_knn_balanced.json"),
+                 "--data", str(data)]) == 1
+    assert capsys.readouterr().err == "error[load]: the capture has no rows\n"
+
+
 def test_saved_bundle_keeps_label_column(corpus, tmp_path, capsys):
     data = _rewrite_csv(corpus, tmp_path / "cls.csv", header_map={"label": "cls"})
     out = tmp_path / "out"
@@ -729,6 +738,19 @@ def test_stage_config_errors_name_their_key(corpus, tmp_path, capsys, key, value
     assert main(["run", "--data", str(corpus), "--config", str(config),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error[config]: bad value for {key!r}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--synth", "n=6"], "LOF: lof_k_neighbors must lie in [1, "),
+    (["--synth", "n_benign=40,n_ddos=4", "--tracks", "balanced"],
+     "SMOTE: smote_k_neighbors=5 must be < minority class size "),
+], ids=["lof", "smote"])
+def test_neighbour_counts_the_data_cannot_meet_name_their_stage(tmp_path, capsys, argv,
+                                                                message):
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--folds", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error[experiment]: {message}")
     assert not out.exists()
 
 

@@ -302,6 +302,31 @@ def test_pool_worker_errors_keep_their_type(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_failing_run_closes_its_pool_and_an_interrupted_one_terminates_it(
+        monkeypatch):
+    # terminate() can kill a busy worker that holds the result queue's lock,
+    # and then wait for the pool's task handler forever; but after an
+    # interrupt, which reaches the workers too, close() would wait forever
+    import multiprocessing.pool
+
+    calls, terminate = [], multiprocessing.pool.Pool.terminate
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate",
+                        lambda pool: calls.append(pool) or terminate(pool))
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="every grid combination failed for KNN"):
+        run_full_experiment(small_config(grids={**SMALL_GRIDS, "KNN": {"k": (5000,)}}),
+                            small_data())
+    assert calls == []
+    assert multiprocessing.active_children() == []
+
+    with pytest.raises(KeyboardInterrupt):
+        with experiment._run_units([int, int]) as (done, _):
+            assert list(done) == [0, 0]
+            raise KeyboardInterrupt
+    assert len(calls) == 1
+    assert multiprocessing.active_children() == []
+
+
 def _report_json(cfg, ds):
     return report_to_json(run_full_experiment(cfg, ds))
 

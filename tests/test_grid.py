@@ -151,8 +151,8 @@ def test_grid_search_trains_each_group_once_per_fold(monkeypatch):
     outcome = grid_search("RF", grid, fold_datasets=folds, seed=0)
     assert all(p.error is None for p in outcome.trace)
     assert [(s.hyperparameters["n_trees"], s.hyperparameters["max_depth"], s.seed)
-            for s in trained] == [(4, None, 0), (4, None, 1), (4, None, 2),
-                                  (4, 2, 0), (4, 2, 1), (4, 2, 2)]
+            for s in trained] == [(4, None, 0), (4, 2, 0), (4, None, 1),
+                                  (4, 2, 1), (4, None, 2), (4, 2, 2)]
 
 
 def test_staged_values_must_be_stages_of_the_model():
@@ -185,7 +185,9 @@ def test_fold_models_skip_the_loss_curve_and_final_models_keep_it(monkeypatch):
     gbt = [clf.make_spec("GBT", rounds=r) for r in (3, 5)]
     net = [clf.make_spec("MLP", epochs=4, hidden_sizes=(4,))]
     for specs in (gbt, net):
-        assert all(len(r) == 3 for r in _cross_validate(specs, folds))
+        for f, train, validation in folds:
+            results = _cross_validate(specs, f, train, validation)
+            assert [r.fold for r in results] == [f] * len(specs)
     assert calls == []
 
     train = folds[0][1]

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from .base import TrainedModel, thresholded
-from .tree import (build_gini_tree, presort_sample, tree_apply, trees_from_state,
-                   value_ranks)
+from .tree import build_gini_tree, presort, tree_apply, trees_from_state
 
 
 class RandomForestModel(TrainedModel):
@@ -17,7 +16,9 @@ class RandomForestModel(TrainedModel):
     Tree t draws its bootstrap sample and per-node feature candidates from a
     dedicated generator seeded spec.seed + t, so trees are independent of
     training order and the whole fit is reproducible. So the first m trees
-    are the forest trained with ``n_trees=m``.
+    are the forest trained with ``n_trees=m``. A tree grows on the fit's
+    rows, each weighted by how many times its bootstrap drew it (once each
+    without bootstrap), so the fit sorts X once for all its trees.
     """
 
     kind = "RF"
@@ -41,20 +42,20 @@ class RandomForestModel(TrainedModel):
         n, d = X.shape
         n_candidates = max(1, int(math.sqrt(d)))
         importance = np.zeros(d, dtype=np.float64)
-        ranks = value_ranks(X)  # each tree presorts its sample from these
+        order = presort(X)  # every tree's rows are X's, so it is sorted once
         trees = []
         for t in range(hp["n_trees"]):
             rng = np.random.default_rng(spec.seed + t)
             if hp["bootstrap"]:
-                sample = rng.integers(0, n, size=n)
+                counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
             else:
-                sample = np.arange(n)
-            trees.append(build_gini_tree(X[sample], y[sample],
+                counts = np.ones(n, dtype=np.int64)
+            trees.append(build_gini_tree(X, y, counts,
                                          max_depth=hp["max_depth"],
                                          min_samples_split=hp["min_samples_split"],
                                          n_candidate_features=n_candidates,
                                          rng=rng, importance=importance,
-                                         order=presort_sample(ranks, sample)))
+                                         order=order))
         importance /= hp["n_trees"]
         return cls(spec, d, trees=trees, feature_importance=importance)
 

@@ -6,15 +6,25 @@ splits each internal node's own rows with one gather and compare, and
 serialization is a dict of lists with no recursion anywhere. Every child
 comes after its parent in the arrays, so routing always reaches a leaf.
 
-Split search sorts each column once per tree and never at a node. A node's
-per-feature row order is its parent's, filtered by the side of the split
-each row falls on; filtering keeps order. This relies on one invariant: a
-node's ``idx`` is ascending, as every child's is, being a boolean selection
-from its parent's. So within a node equal values stay in ascending row
-order, the order a stable sort of the node's rows would give, and
-cumulative sums, node sums over ``idx`` and tie-breaks all run as they would
-with per-node sorting. One kernel scores every candidate feature of a node
-in a single (features x rows) block.
+Both learners sort each column once per fit (``presort``) and never at a
+node. A node is a subset of the fit's rows in that order: its rows
+ascending (``idx``), and (d, m) its rows by ascending value of each feature
+(``rows``). A child's are its parent's, filtered by the side of the split
+each row falls on, and filtering keeps order. So within a node equal values
+stay in ascending row order, the order a stable sort of the node's rows
+would give, and cumulative sums, node sums over ``idx`` and tie-breaks all
+run as they would with per-node sorting.
+
+A forest's tree grows on the rows its bootstrap drew, each with its draw
+count: its root holds the rows with a nonzero count, and a node's size and
+positives are count-weighted sums. The counts are whole numbers, so every
+sum is exact and the tree is, bit for bit, the one grown on the drawn copy.
+
+Both learners split a node by one rule. One kernel scores every candidate
+feature of the node in a single (features x rows) block, at its boundaries
+between distinct values alone. The split is the first largest gain in
+(candidate, boundary) order; the gain must be > 0, and the threshold is the
+midpoint of the two values.
 
 A boosting fit, where X never changes, goes further: ``NodeLayouts`` keeps
 each node's layout (its rows, their order by each feature and its
@@ -93,56 +103,13 @@ def trees_from_state(states, count, arity) -> list:
             for start, end in zip([0] + ends, ends)]
 
 
-def value_ranks(X) -> np.ndarray:
-    """Dense rank of every value within its column: a (d, n) int64 array.
-
-    Equal values share a rank, so ranks order rows as the values do.
-    """
-    ranks = np.empty((X.shape[1], X.shape[0]), dtype=np.int64)
-    for f in range(X.shape[1]):
-        ranks[f] = np.unique(X[:, f], return_inverse=True)[1]
-    return ranks
-
-
-def presort_sample(ranks, sample) -> np.ndarray:
-    """``presort(X[sample])`` from ``ranks = value_ranks(X)``.
-
-    The key rank * n + position is unique within a column, so the default
-    sort puts equal values in ascending position order, as a stable sort
-    of the values would, and faster.
-    """
-    n = len(sample)
-    return np.argsort(ranks[:, sample] * n + np.arange(n), axis=1)
-
-
 def presort(X) -> np.ndarray:
     """Row order of every column, stably sorted: a (d, n) int64 array.
 
-    Row f lists the rows of ``X`` by ascending ``X[:, f]``, equal values in
-    ascending row order.
+    Row f lists the rows of ``X`` by ascending ``X[:, f]``, equal values
+    (-0.0 and 0.0 among them) in ascending row order and NaN last.
     """
-    return presort_sample(value_ranks(X), np.arange(X.shape[0]))
-
-
-def _best_split(X, rows, cand, gain):
-    """(feature, threshold, gain) of the best boundary, or None.
-
-    ``rows`` (k, m) lists the node's rows by ascending value of each
-    candidate feature ``cand``; ``gain`` (k, m - 1) scores a split after
-    each position. Only boundaries between distinct values count, and the
-    threshold is the midpoint of the two values. The first boundary within
-    a feature wins ties, then the first feature in candidate order; a split
-    needs gain strictly > 0.
-    """
-    xs = X[rows, cand[:, None]]
-    gain = np.where(xs[:, :-1] < xs[:, 1:], gain, -np.inf)
-    pos = gain.argmax(axis=1)
-    top = gain[np.arange(len(cand)), pos]
-    f = int(top.argmax())
-    if not top[f] > 0.0:
-        return None
-    j = pos[f]
-    return int(cand[f]), float(0.5 * (xs[f, j] + xs[f, j + 1])), float(top[f])
+    return np.argsort(X.T, axis=1, kind="stable")
 
 
 def _grow(root, split_node, children) -> TreeNodes:
@@ -170,41 +137,58 @@ def _grow(root, split_node, children) -> TreeNodes:
     return TreeNodes(*zip(*nodes))
 
 
-def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
-                    rng, importance, order) -> TreeNodes:
-    """Greedy CART classification tree minimizing Gini impurity.
+def build_gini_tree(X, y, counts, max_depth, min_samples_split,
+                    n_candidate_features, rng, importance, order) -> TreeNodes:
+    """Greedy CART classification tree minimizing Gini impurity, grown on
+    row i of (X, y) taken ``counts[i]`` times.
 
     ``n_candidate_features`` features are sampled per node without
     replacement; when none of them admits a positive-gain split the search
     widens to all features before giving up, so rows that differ anywhere
-    can always be separated. Leaf value is the node's positive fraction.
-    ``importance`` (length-d array) accumulates per-feature impurity
-    decrease weighted by node fraction. ``order`` is ``presort(X)``.
+    can always be separated. A node's size and positives are count-weighted
+    sums, and its leaf value is its positive fraction. ``importance``
+    (length-d array) accumulates per-feature impurity decrease weighted by
+    the node's share of the total count. ``order`` is ``presort(X)``.
 
-    A node is ``(idx, rows)``: its rows ascending, and (d, len(idx)) its
-    rows by ascending value of each feature. A child's ``rows`` is its
-    parent's filtered by the side each row falls on, so no node sorts.
+    A node is ``(idx, rows)``, as the module docstring says, over the rows
+    with a nonzero count.
     """
-    n, d = X.shape
+    d = X.shape[1]
     everything = np.arange(d)
+    # count and count-weighted label in one array: one gather and one
+    # cumulative sum give both, each part summed exactly
+    weights = np.empty(X.shape[0], dtype=np.complex128)
+    weights.real = counts
+    weights.imag = counts * y
+    n = int(counts.sum())
 
     def search(rows, cand, n_node, pos_total, gini_node):
         rows = rows[cand]
-        n_left = np.arange(1.0, n_node)
-        pos_left = np.cumsum(y[rows], axis=1)[:, :-1]
+        m = rows.shape[1]
+        xs = X[rows, cand[:, None]]
+        k = np.flatnonzero(xs[:, :-1] < xs[:, 1:])  # in (len(cand), m - 1)
+        if not len(k):
+            return None
+        bounds = k + k // (m - 1)
+        sums = np.cumsum(weights.take(rows), axis=1).take(bounds)
+        n_left, pos_left = sums.real, sums.imag
         n_right = n_node - n_left
         pos_right = pos_total - pos_left
         pl = pos_left / n_left
         pr = pos_right / n_right
         gini_left = 1.0 - pl * pl - (1.0 - pl) ** 2
         gini_right = 1.0 - pr * pr - (1.0 - pr) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n_node
-        return _best_split(X, rows, cand, gini_node - weighted)
+        gain = gini_node - (n_left * gini_left + n_right * gini_right) / n_node
+        b = int(gain.argmax())
+        if not gain[b] > 0.0:
+            return None
+        f, j = divmod(int(bounds[b]), m)
+        return int(cand[f]), float(0.5 * (xs[f, j] + xs[f, j + 1])), float(gain[b])
 
     def split_node(node, depth):
         idx, rows = node
-        n_node = len(idx)
-        pos = int(y[idx].sum())
+        total = weights.take(idx).sum()
+        n_node, pos = int(total.real), int(total.imag)
         p = pos / n_node
         if pos in (0, n_node) or n_node < min_samples_split or \
                 (max_depth is not None and depth >= max_depth):
@@ -231,7 +215,9 @@ def build_gini_tree(X, y, max_depth, min_samples_split, n_candidate_features,
         return ((idx[go_left], rows[side].reshape(d, -1)),
                 (idx[~go_left], rows[~side].reshape(d, -1)))
 
-    return _grow((np.arange(n), order), split_node, children)
+    drawn = counts.take(order) > 0
+    return _grow((np.flatnonzero(counts), order[drawn].reshape(d, -1)),
+                 split_node, children)
 
 
 # Most bytes of arrays a boosting fit's layout store keeps, its root's not

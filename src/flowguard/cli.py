@@ -198,6 +198,8 @@ def _save_track_models(report, out_dir, label_column):
 def _cmd_inspect(args):
     with _stage("load"):
         ds = load_csv(args.data, label_column=args.label_column)
+        if ds.n_rows == 0:  # its columns' types cannot be told
+            raise ValueError("the capture has no rows")
     dist = label_distribution(ds)
     print(f"path: {args.data}")
     print(f"rows: {ds.n_rows}")

@@ -459,23 +459,19 @@ def _pick(kind: str, grid: dict, seed: int, per_fold) -> GridSearchOutcome:
     fold it failed on; any other point, its FoldResults in fold order.
 
     Highest mean validation accuracy wins; exact ties keep the point listed
-    first. Each failed point is logged as a warning, group by group; if
+    first. Each failed point is logged as a warning, in grid order; if
     every point failed, ValueError.
     """
-    points, specs, groups = _grid_points(kind, grid, seed)
+    points, specs, _ = _grid_points(kind, grid, seed)
     results = []
     for on_each_fold in zip(*per_fold):
         errors = [r for r in on_each_fold if isinstance(r, str)]
         results.append(errors[0] if errors else on_each_fold)
-    for members in groups:
-        for i in members:
-            if isinstance(results[i], str):
-                logger.warning("grid combination %s %s failed: %s", kind, points[i],
-                               results[i])
     best = None
     trace = []
     for params, spec, folds in zip(points, specs, results):
         if isinstance(folds, str):
+            logger.warning("grid combination %s %s failed: %s", kind, params, folds)
             trace.append(GridPoint(params=dict(params), mean_cv_accuracy=None,
                                    error=folds))
             continue

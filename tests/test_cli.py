@@ -73,6 +73,16 @@ def test_inspect_counts_gaps(tmp_path, capsys, text, columns):
     assert [line.strip() for line in lines[4:]] == columns
 
 
+def test_inspect_refuses_a_capture_without_rows(corpus, tmp_path, capsys):
+    # with no rows, a coded column such as f03 cannot be told from a numeric one
+    data = tmp_path / "header_only.csv"
+    data.write_text(corpus.read_text().split("\n")[0] + "\n")
+    assert main(["inspect", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[load]: the capture has no rows\n"
+
+
 def test_run_writes_report_and_models(finished_run, capsys):
     out = capsys.readouterr().out
     report = json.loads((finished_run / "report.json").read_text())

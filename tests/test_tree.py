@@ -1,12 +1,14 @@
 """Presorted split search: trees bit-identical to per-node sorting oracles.
 
 The oracles (``tests/oracles.py``) sort every candidate feature at every
-node, one feature at a time. The library sorts each column once per tree,
-and a boosting fit builds each node layout once per distinct split path
-and serves it to every later round (``tree.NodeLayouts``); it scores all
-candidate features in one block. Every ``TreeNodes`` array, and the
-forest's impurity importances, must agree byte for byte; the oracles keep
-node lists of their own, so this also pins the library's node order.
+node, one feature at a time. The library sorts each column once per fit.
+A forest's tree grows on the fit's rows weighted by their bootstrap draw
+counts, where its oracle grows on the drawn copy. A boosting fit builds
+each node layout once per distinct split path and serves it to every
+later round (``tree.NodeLayouts``). Both score all candidate features in
+one block. Every ``TreeNodes`` array, and the forest's impurity
+importances, must agree byte for byte; the oracles keep node lists of
+their own, so this also pins the library's node order.
 Routing rows node by node must give the leaf values of the level-wise
 oracle router byte for byte.
 """
@@ -28,8 +30,7 @@ from flowguard.classifiers.base import sigmoid  # noqa: E402
 from flowguard.classifiers.tree import (LEAF, NodeLayouts,  # noqa: E402
                                         TreeNodes, build_gini_tree,
                                         build_newton_tree, presort,
-                                        presort_sample, tree_apply,
-                                        trees_from_state, value_ranks)
+                                        tree_apply, trees_from_state)
 from flowguard.dataset import Dataset  # noqa: E402
 from flowguard.synth import SynthConfig, generate  # noqa: E402
 from oracles import (gini_tree_brute, newton_tree_brute,  # noqa: E402
@@ -76,13 +77,15 @@ def tree_cases(draw, layouts=LAYOUTS):
 @given(tree_cases(), st.one_of(st.none(), st.integers(1, 6)), st.integers(2, 4),
        st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_gini_tree_matches_oracle(case, max_depth, min_split, n_cand, seed):
-    X, y, _ = case
+    # grown on X's rows weighted by their draw counts, as on the drawn copy
+    X, y, rng = case
     n_cand = min(n_cand, X.shape[1])
+    sample = rng.integers(0, X.shape[0], size=X.shape[0])
     imp_got, imp_want = np.zeros(X.shape[1]), np.zeros(X.shape[1])
-    got = build_gini_tree(X, y, max_depth, min_split, n_cand,
-                          np.random.default_rng(seed), importance=imp_got,
-                          order=presort(X))
-    want = gini_tree_brute(X, y, max_depth, min_split, n_cand,
+    got = build_gini_tree(X, y, np.bincount(sample, minlength=X.shape[0]),
+                          max_depth, min_split, n_cand, np.random.default_rng(seed),
+                          importance=imp_got, order=presort(X))
+    want = gini_tree_brute(X[sample], y[sample], max_depth, min_split, n_cand,
                            np.random.default_rng(seed), importance=imp_want)
     assert_same_tree(got, want)
     assert imp_got.tobytes() == imp_want.tobytes()
@@ -115,8 +118,8 @@ def test_trees_match_oracle_on_large_nodes():
     X[:, 4] = np.round(rng.standard_normal(600), 1)
     y = (X[:, 0] + rng.standard_normal(600) > 1).astype(np.int64)
     imp_got, imp_want = np.zeros(5), np.zeros(5)
-    got = build_gini_tree(X, y, None, 2, 2, np.random.default_rng(5), imp_got,
-                          order=presort(X))
+    got = build_gini_tree(X, y, np.ones(600, dtype=np.int64), None, 2, 2,
+                          np.random.default_rng(5), imp_got, order=presort(X))
     want = gini_tree_brute(X, y, None, 2, 2, np.random.default_rng(5), imp_want)
     assert_same_tree(got, want)
     assert imp_got.tobytes() == imp_want.tobytes()
@@ -204,8 +207,8 @@ def test_gini_fallback_widens_to_all_features():
     seed = next(s for s in range(100)
                 if np.random.default_rng(s).choice(2, size=1, replace=False)[0] == 0)
     imp_got, imp_want = np.zeros(2), np.zeros(2)
-    got = build_gini_tree(X, y, None, 2, 1, np.random.default_rng(seed), imp_got,
-                          order=presort(X))
+    got = build_gini_tree(X, y, np.ones(8, dtype=np.int64), None, 2, 1,
+                          np.random.default_rng(seed), imp_got, order=presort(X))
     want = gini_tree_brute(X, y, None, 2, 1, np.random.default_rng(seed), imp_want)
     assert_same_tree(got, want)
     assert got.feature[0] == 1 and got.threshold[0] == 3.5
@@ -225,35 +228,61 @@ def test_presort_orders_columns_stably():
 
 @settings(max_examples=200, deadline=None)
 @given(tree_cases(), st.booleans())
-def test_presort_sample_matches_a_stable_sort_of_the_sample(case, signed_zeros):
+def test_presort_matches_a_stable_sort_of_each_column(case, signed_zeros):
     X, _, rng = case
     if signed_zeros:  # -0.0 and 0.0 are equal values with different bytes
         X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
-    sample = rng.integers(0, X.shape[0], size=X.shape[0])
-    want = np.argsort(X[sample].T, axis=1, kind="stable")
-    assert presort_sample(value_ranks(X), sample).tobytes() == want.tobytes()
+    rows = np.arange(X.shape[0])
+    # + 0.0 turns -0.0 into 0.0, so the reference does not depend on how a
+    # sort compares signed zeros
+    want = [np.lexsort((rows, X[:, f] + 0.0)) for f in range(X.shape[1])]
+    assert presort(X).tobytes() == np.array(want, dtype=np.int64).tobytes()
 
 
-def test_presort_sample_keeps_nan_last_in_position_order():
-    X = np.array([[np.nan], [1.0], [np.nan], [0.0], [1.0]])
-    sample = np.array([2, 4, 0, 1, 3, 2])
-    want = np.argsort(X[sample].T, axis=1, kind="stable")
-    assert presort_sample(value_ranks(X), sample).tolist() == want.tolist()
+def test_presort_keeps_nan_last_in_row_order():
+    X = np.array([[np.nan], [1.0], [np.nan], [0.0], [1.0], [-0.0]])
+    assert presort(X).tolist() == [[3, 5, 1, 4, 0, 2]]
 
 
-def test_forest_trees_match_oracle_on_their_bootstrap_samples():
+def test_gini_tree_ties_go_to_the_first_candidate():
+    # Features 0 and 1 are the same column and split equally well, and
+    # feature 2 is constant: the root splits on whichever of 0 and 1 the
+    # node drew first.
+    x = np.arange(8.0)
+    X = np.column_stack([x, x, np.zeros(8)])
+    y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    for seed, first in ((12, 1), (1, 0)):
+        assert np.random.default_rng(seed).choice(3, size=2, replace=False)[0] == first
+        got = build_gini_tree(X, y, np.ones(8, dtype=np.int64), None, 2, 2,
+                              np.random.default_rng(seed), np.zeros(3), order=presort(X))
+        want = gini_tree_brute(X, y, None, 2, 2, np.random.default_rng(seed))
+        assert_same_tree(got, want)
+        assert got.feature[0] == first and got.threshold[0] == 3.5
+
+
+def assert_forest_matches_oracle(bootstrap):
+    """Each tree of an RF fit, grown on the fit's rows with their draw
+    counts, is the oracle's tree on its drawn copy of the rows."""
     rng = np.random.default_rng(8)
     X = make_rows(rng, 120, 4, "grid")
     y = (X[:, 0] + rng.standard_normal(120) > 1).astype(np.int64)
-    spec = clf.make_spec("RF", seed=3, n_trees=4)
+    spec = clf.make_spec("RF", seed=3, n_trees=4, bootstrap=bootstrap)
     model = clf.train(spec, Dataset(feature_names=("a", "b", "c", "d"), X=X, y=y))
     importance = np.zeros(4)
     for t, tree in enumerate(model.trees):
         tree_rng = np.random.default_rng(spec.seed + t)
-        sample = tree_rng.integers(0, 120, size=120)
+        sample = tree_rng.integers(0, 120, size=120) if bootstrap else np.arange(120)
         assert_same_tree(tree, gini_tree_brute(X[sample], y[sample], None, 2, 2,
                                                tree_rng, importance))
     assert model.feature_importance.tobytes() == (importance / 4).tobytes()
+
+
+def test_forest_trees_match_oracle_on_their_bootstrap_samples():
+    assert_forest_matches_oracle(bootstrap=True)
+
+
+def test_forest_trees_match_oracle_without_bootstrap():
+    assert_forest_matches_oracle(bootstrap=False)
 
 
 @st.composite
